@@ -86,13 +86,12 @@ def run_bench() -> dict:
 
     sf = _sf_from_dir(SF_DIR)
     src = prepare_corpus(sf)
-    # warm the Ray worker pool (process spawn + numpy/pyarrow imports +
-    # first-touch page faults are multi-second on this host) so timings
-    # measure the pipelines, not session bring-up
+    # warm the Ray worker pool (process spawn + numpy/pyarrow imports are
+    # multi-second on this host) so timings measure the pipelines, not
+    # session bring-up
 
     def _warm(batch):
-        from howard_ray.codecs.bitpack import warmup
-        warmup()
+        import howard_ray.block  # noqa: F401
         return batch
 
     ray.data.range(NUM_CPUS * 4, override_num_blocks=NUM_CPUS * 4) \
@@ -110,8 +109,7 @@ def run_bench() -> dict:
         if os.path.exists(store):
             shutil.rmtree(store)
         t0 = time.perf_counter()
-        encode_dataset(src, store, mode=mode, resume=False, concurrency=NUM_CPUS,
-                       profile=profile)
+        encode_dataset(src, store, mode=mode, resume=False, profile=profile)
         return time.perf_counter() - t0, store
 
     # cold = first pass (includes per-worker warmup transients);

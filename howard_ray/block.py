@@ -42,11 +42,22 @@ import pyarrow.compute as pc
 
 from .codecs import (decode_floats, decode_ints, decode_strings,
                      encode_floats, encode_ints, encode_strings)
+from .codecs import zstd as zstd_mod
 from .codecs.zstd import zstd_compress, zstd_decompress
 from .selector import choose_float_codec, choose_int_codec, choose_str_codec
 
 MAGIC = b"HRB1"
 TARGET_ROWS_PER_BLOCK = 100_000  # reference row-group size (databases.py:2213)
+
+ENCODE_PROFILES = {
+    # throughput profile: byte-aligned codecs + fast zstd
+    "standard": {"zstd_level": 1},
+    # archive profile: zstd level 19 per block — ~4% smaller stores at ~200x
+    # the compression CPU; compute-dominant, so it is also the scaling probe
+    # profile on hosts whose memory bandwidth caps the standard profile
+    # (see BASELINE.md)
+    "archive": {"zstd_level": 19},
+}
 
 
 def _combine(col) -> pa.Array:
@@ -220,9 +231,24 @@ def decode_column(payload: bytes, entry: dict) -> pa.Array:
 
 
 def encode_block(table: pa.Table, block_id: str,
-                 codecs: dict[str, str] | None = None) -> tuple[bytes, dict]:
-    """Encode a table into one self-contained block → (file bytes, block meta)."""
-    codecs = codecs or {}
+                 codecs: dict[str, str] | None = None,
+                 zstd_level: int = ENCODE_PROFILES["standard"]["zstd_level"]
+                 ) -> tuple[bytes, dict]:
+    """Encode a table into one self-contained block → (file bytes, block meta).
+
+    ``zstd_level`` holds for this call only: the worker's previous level is
+    restored afterwards, so a long-lived worker that once ran the archive
+    profile never leaks level 19 into a later encode."""
+    prev = zstd_mod.LEVEL
+    zstd_mod.set_level(zstd_level)
+    try:
+        return _encode_block(table, block_id, codecs or {})
+    finally:
+        zstd_mod.set_level(prev)
+
+
+def _encode_block(table: pa.Table, block_id: str,
+                  codecs: dict[str, str]) -> tuple[bytes, dict]:
     payloads: list[bytes] = []
     columns: dict[str, dict] = {}
     offset = 0

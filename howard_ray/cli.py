@@ -104,7 +104,12 @@ def _parse_where(expr: str | None) -> tuple | None:
     """``col:op:value`` → decode_store predicate (value auto-typed)."""
     if not expr:
         return None
-    col, op, raw = expr.split(":", 2)
+    from .pipeline import _PRED_OPS
+    parts = expr.split(":", 2)
+    if len(parts) != 3 or not parts[0] or parts[1] not in _PRED_OPS:
+        raise SystemExit(f"--where wants col:op:value with op one of "
+                         f"{' '.join(_PRED_OPS)}; got {expr!r}")
+    col, op, raw = parts
 
     def coerce(v: str):
         try:

@@ -4,10 +4,10 @@ Layout is *chunked bit-plane major*: values are processed in chunks of
 ``CHUNK`` (multiple of 8); within a chunk, plane b holds bit b of every
 value, planes concatenated then packed little-endian with ``np.packbits``.
 Every array op is contiguous, and the per-chunk scratch buffers are cached
-at module level — allocated once per worker process, so the cost of
-first-touch page faults (pathological on this kernel for ~100MB buffers) is
-paid once, not per block. ``width == 0`` encodes a constant-zero array in
-zero bytes.
+at module level — allocated and pre-faulted on first use in each worker
+process, so the cost of first-touch page faults (pathological on this
+kernel for ~100MB buffers) is paid once, not per block. ``width == 0``
+encodes a constant-zero array in zero bytes.
 """
 
 from __future__ import annotations
@@ -30,12 +30,6 @@ def _scratch(width: int):
         _scratch_bits.fill(0)
         _scratch_tmp.fill(0)
     return _scratch_bits, _scratch_tmp
-
-
-def warmup() -> None:
-    """Pre-allocate + pre-fault the packing scratch; call from actor/worker
-    __init__ so block encodes never pay first-touch costs."""
-    _scratch(24)
 
 
 def bit_width(max_val: int) -> int:

@@ -9,14 +9,21 @@ Flagship encode pipeline (north_star shape):
       → per-group encoded block files + lineage       # atomic, resumable
       → footer.json                                   # ordered global index
 
-``mode="stream"`` skips the shuffle and encodes blocks in scan order via an
-actor-pool ``map_batches`` stage — the reference's convert path
+``mode="stream"`` skips the shuffle and encodes blocks in scan order via a
+task ``map_batches`` stage — the reference's convert path
 (read → layout change → write, /root/reference/howard/tools/convert.py:25-74).
 ``mode="cluster"`` is the full pipeline: same-source rows are co-located so
 dictionary/FSST symbol tables are shared within a block, and the
 low-cardinality skewed ``source`` key (web=55%) is salted so no reducer gets
 a chromosome-sized partition (the reference's per-chromosome loops are
 skew-blind, howard/objects/variants.py:6314 — this is the fix).
+``mode="cluster-exchange"`` is the same salted pipeline with rows packed
+into compressed mini-blocks before the shuffle; both write identical blocks.
+
+Every block write — encode, append, compaction, purge, recluster, derived
+sidecars — goes through :func:`_encode_tables_to_blocks` (or
+``block.encode_block`` directly for sidecars), which carries the profile's
+zstd level; every destructive rewrite publishes through :func:`_swap_footer`.
 
 Resume: deterministic group membership (stable 64-bit content hash of doc_id)
 ⇒ deterministic block ids and contents; a restarted job diffs the lineage
@@ -40,6 +47,7 @@ import pyarrow as pa
 import ray.data
 
 from .block import (
+    ENCODE_PROFILES,
     TARGET_ROWS_PER_BLOCK,
     decode_block,
     encode_block,
@@ -116,7 +124,9 @@ def _encode_tables_to_blocks(tables: list[pa.Table], store_dir: str, key: str,
             records.append({**prior, "resumed": True})
             continue
         t0 = time.perf_counter()
-        file_bytes, meta = encode_block(part, block_id)
+        file_bytes, meta = encode_block(
+            part, block_id,
+            zstd_level=ENCODE_PROFILES[profile]["zstd_level"])
         write_block_file(block_path(store_dir, block_id), file_bytes)
         rec = {
             "block_id": block_id,
@@ -159,17 +169,6 @@ def _cached_get(ref):
 def _records_table(records: list[dict]) -> pa.Table:
     return pa.table({"record": pa.array([json.dumps(r) for r in records],
                                         type=pa.string())})
-
-
-ENCODE_PROFILES = {
-    # throughput profile: byte-aligned codecs + fast zstd
-    "standard": {"zstd_level": 1},
-    # archive profile: zstd level 19 per block — ~4% smaller stores at ~200x
-    # the compression CPU; compute-dominant, so it is also the scaling probe
-    # profile on hosts whose memory bandwidth caps the standard profile
-    # (see BASELINE.md)
-    "archive": {"zstd_level": 19},
-}
 
 
 def _batch_mix(batch: pa.Table) -> tuple[int, str]:
@@ -226,37 +225,6 @@ def _batch_mix(batch: pa.Table) -> tuple[int, str]:
             mix = mix * np.uint64(31) + np.uint64(
                 int(np.sum(h * pows, dtype=np.uint64)))
     return int(mix), (first if first is not None else "nested")
-
-
-class BlockEncoder:
-    """Encode stage for ``mode="stream"`` (stateful stage shape: setup once
-    per worker, work per batch — the reference's genome/bigwig-handle actors,
-    howard/objects/variants.py:8128, :3522)."""
-
-    def __init__(self, store_dir: str, target_rows: int,
-                 completed: dict[str, dict], profile: str = "standard",
-                 block_ns: str = ""):
-        from .codecs import zstd as zstd_mod
-        from .codecs.bitpack import warmup
-        warmup()  # pre-fault packing scratch once per actor
-        zstd_mod.set_level(ENCODE_PROFILES[profile]["zstd_level"])
-        self.store_dir = store_dir
-        self.target_rows = target_rows
-        self.completed = completed
-        self.profile = profile
-        self.block_ns = block_ns
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _records_table([])
-        mix, first = _batch_mix(batch)
-        key = f"{self.block_ns}s{mix:016x}"
-        recs = _encode_tables_to_blocks(
-            [batch], self.store_dir, key, sort_key=first,
-            target_rows=self.target_rows, completed=self.completed,
-            input_info=f"stream:{first}:{batch.num_rows}",
-            profile=self.profile)
-        return _records_table(recs)
 
 
 TARGET_BLOCK_BYTES = 8 * 1024 * 1024  # ~8 MiB encoded-block input target
@@ -370,16 +338,17 @@ def _safe_key(source) -> str:
                    for c in str(source))
 
 
-def _salt_codes(source_col, salts: dict[str, int]):
-    """Vectorized salt-count lookup shared by the cluster and exchange
+def _salt_codes(batch: pa.Table, salts: dict[str, int]):
+    """Vectorized salt assignment shared by the cluster and exchange
     stages: dictionary-encode the source column (few uniques; nulls fold to
     the _NULL_SRC sentinel), map only the DICTIONARY through the salts
-    dict, then gather per row — no per-row Python in the hot path. Returns
-    (dict_values, per-row codes, per-row salt counts)."""
+    dict, gather the salt count per row — no per-row Python in the hot
+    path — and pick each row's salt from the stable hash of its doc_id.
+    Returns (dict_values, per-row codes, per-row salts)."""
     import pyarrow.compute as pc
 
-    col = (source_col.combine_chunks()
-           if isinstance(source_col, pa.ChunkedArray) else source_col)
+    col = batch["source"]
+    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     if col.null_count:
         col = pc.fill_null(col, _NULL_SRC)
     enc = pc.dictionary_encode(col)
@@ -388,7 +357,8 @@ def _salt_codes(source_col, salts: dict[str, int]):
     dict_vals = enc.dictionary.to_pylist()
     codes = np.asarray(enc.indices)
     per_dict = np.array([salts.get(s, 1) for s in dict_vals], dtype=np.uint64)
-    return dict_vals, codes, per_dict[codes]
+    salt = stable_hash_u64(batch["doc_id"]) % per_dict[codes]
+    return dict_vals, codes, salt.astype(np.int64)
 
 
 def _per_source_counts(input_path: str | list[str]) -> dict[str, int]:
@@ -437,12 +407,9 @@ def _per_source_counts_sampled(input_path: str | list[str]) -> dict[str, int]:
     A 1.25x safety factor absorbs sampling error on big sources; a source
     too rare for the sample gets salts=1, which is exactly right for it.
     At 10^12 rows this replaces a full read of `source` with a bounded
-    number of row-group reads on the serial critical path. Set
-    HOWARD_EXACT_STATS=1 to force the exact pass."""
+    number of row-group reads on the serial critical path."""
     import pyarrow.parquet as pq
 
-    if os.environ.get("HOWARD_EXACT_STATS"):
-        return _per_source_counts(input_path)
     files = _parquet_files(input_path)
     try:
         pfs = [pq.ParquetFile(f) for f in files]
@@ -486,6 +453,140 @@ def _per_source_counts_sampled(input_path: str | list[str]) -> dict[str, int]:
         return _per_source_counts(input_path)
 
 
+# auto mode: uncompressed bytes/row at or above which the all-to-all is
+# volume-priced (wide token rows) and the compressed exchange wins
+EXCHANGE_BYTES_PER_ROW = 512
+# target blocks per exchange pack batch: each pack batch splits into
+# ~|present (source,salt) pairs| minis, so bigger batches mean fewer, larger
+# minis (less per-mini codec overhead, better mini compression)
+_EXCHANGE_PACK_MULT = 4
+# fixed byte-aligned codecs for the exchange mini-blocks (no selection: they
+# live only until the reducer decodes them)
+_MINI_CODECS = {"doc_id": "plain_str", "source": "dict_str",
+                "tokens": "for_bytes", "n_tok": "for_bytes"}
+
+
+def _pack_minis(batch: pa.Table, salts: dict[str, int]) -> pa.Table:
+    """Exchange pre-shuffle map: split a batch into one standard-profile
+    mini-block per present (source, salt) group, so the all-to-all moves
+    already-compressed bytes."""
+    if batch.num_rows == 0:
+        return pa.table({
+            "source": pa.array([], type=pa.string()),
+            "salt": pa.array([], type=pa.int64()),
+            "payload": pa.array([], type=pa.binary()),
+            "n_rows": pa.array([], type=pa.int64()),
+        })
+    dict_vals, codes, salt = _salt_codes(batch, salts)
+    # vectorized partition: lexsort by (source-code, salt) then boundary
+    # split on the sorted integer pair — no per-row Python. Group ORDER
+    # within this batch is code- not string-ordered; irrelevant downstream
+    # (groups re-shuffle by key, final block content re-sorts by doc_id).
+    order = np.lexsort((salt, codes))
+    sorted_batch = batch.take(pa.array(order))
+    c_sorted, t_sorted = codes[order], salt[order]
+    bounds = np.flatnonzero(np.concatenate(
+        ([True], (c_sorted[1:] != c_sorted[:-1])
+         | (t_sorted[1:] != t_sorted[:-1]))))
+    ends = np.concatenate((bounds[1:], [len(c_sorted)]))
+    codecs = {c: _MINI_CODECS[c] for c in batch.column_names
+              if c in _MINI_CODECS}
+    out_src, out_salt, out_payload, out_rows = [], [], [], []
+    for b, e in zip(bounds, ends):
+        sub = sorted_batch.slice(int(b), int(e - b))
+        out_src.append(dict_vals[int(c_sorted[b])])
+        out_salt.append(int(t_sorted[b]))
+        out_payload.append(encode_block(sub, "mini", codecs=codecs)[0])
+        out_rows.append(int(e - b))
+    return pa.table({
+        "source": pa.array(out_src, type=pa.string()),
+        "salt": pa.array(out_salt, type=pa.int64()),
+        "payload": pa.array(out_payload, type=pa.binary()),
+        "n_rows": pa.array(out_rows, type=pa.int64()),
+    })
+
+
+def _salted_groups(ds, input_path, columns, target_rows: int, input_meta,
+                   exchange: bool):
+    """The salted all-to-all shared by both clustered modes → (grouped
+    dataset, unpack(group) → the group's rows in input schema). Each
+    source gets one salt per ``target_rows`` of its estimated rows, so no
+    reducer holds more than about one block of a skewed source.
+
+    ``exchange=False`` (cluster): append salt + shuffle-key columns and move
+    plain Arrow rows, tokens narrowed to the metadata-proven uint16/uint8
+    type. ``exchange=True`` (cluster-exchange): move compressed mini-blocks
+    (~3.6x less volume — the decisive cost on a real multi-node shuffle)
+    that the reducer decodes again, a clear win when the network, not the
+    CPU, prices the shuffle."""
+    counts = _per_source_counts_sampled(input_path)
+    salts = {s: max(1, -(-c // target_rows)) for s, c in counts.items()}
+    if exchange:
+        def unpack_minis(group: pa.Table) -> pa.Table:
+            tables = [decode_block(p.as_py()) for p in group["payload"]]
+            return pa.concat_tables(tables).combine_chunks()
+
+        return (ds.map_batches(_pack_minis, fn_args=(salts,),
+                               batch_format="pyarrow",
+                               batch_size=target_rows * _EXCHANGE_PACK_MULT)
+                  .groupby(["source", "salt"])), unpack_minis
+
+    # shuffle-volume narrowing: metadata-proven safe cast of tokens to
+    # uint16/uint8 before the all-to-all halves (or quarters) the bytes
+    # moved; the group stage casts back before encoding. One footer sweep
+    # also yields the row-group count for the partitioning gate.
+    n_row_groups, narrow, _ = input_meta or _input_meta(input_path)
+    wide_type = None
+    if narrow is not None:
+        schema = ds.schema().base_schema
+        if "tokens" in schema.names:
+            wide_type = schema.field("tokens").type
+
+    def add_salt(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+        _, _, salt = _salt_codes(batch, salts)
+        out = batch.append_column("salt", pa.array(salt))
+        # shuffle key: null sources fold to the sentinel (Ray's sort
+        # boundary sampling compares keys in Python and cannot order
+        # None vs str); the DATA column keeps the true null
+        out = out.append_column(
+            "__gsrc", pc.fill_null(out["source"], _NULL_SRC))
+        if wide_type is not None:
+            idx = out.schema.get_field_index("tokens")
+            out = out.set_column(idx, "tokens", out["tokens"].cast(narrow))
+        return out
+
+    def unpack_salted(group: pa.Table) -> pa.Table:
+        body = group.drop_columns(["salt", "__gsrc"])
+        if wide_type is not None:
+            idx = body.schema.get_field_index("tokens")
+            body = body.set_column(idx, "tokens",
+                                   body["tokens"].cast(wide_type))
+        return body
+
+    # ~2 sort partitions per CPU: enough parallelism for the all-to-all
+    # without quadratic tiny-object overhead (measured sweet spot); leave
+    # one CPU for the read/shuffle stages
+    cluster_cpus = int(ray.cluster_resources().get("CPU", 8))
+    pool = max(1, cluster_cpus - 1)
+    n_parts = max(2, min(2 * pool, 128,
+                         -(-sum(counts.values()) // max(1, target_rows))))
+    # Parallelism shaping WITHOUT an extra exchange: when the parquet layout
+    # itself can be split into n_parts read blocks, ask the READ for n_parts
+    # blocks and feed the sort directly; the .repartition(n_parts) round (a
+    # second full all-to-all before the sort) remains only as the fallback
+    # for single-file/few-row-group inputs the scan cannot split wide enough
+    # (the sort shuffle's partition count follows its input block count).
+    if n_row_groups >= n_parts:
+        salted = ray.data.read_parquet(
+            input_path, columns=columns, override_num_blocks=n_parts,
+        ).map_batches(add_salt, batch_format="pyarrow")
+    else:
+        salted = ds.map_batches(add_salt, batch_format="pyarrow") \
+                   .repartition(n_parts)
+    return salted.groupby(["__gsrc", "salt"]), unpack_salted
+
+
 def encode_dataset(
     input_path: str | list[str],
     store_dir: str,
@@ -493,10 +594,8 @@ def encode_dataset(
     mode: str = "auto",
     profile: str = "standard",
     target_rows: int | None = None,
-    concurrency: int | None = None,
     resume: bool = True,
     columns: list[str] | None = None,
-    use_actors: bool = False,
     block_ns: str = "",
     base_records: list[dict] | None = None,
     extra_footer: dict | None = None,
@@ -518,13 +617,6 @@ def encode_dataset(
     if target_rows is None:
         target_rows = auto_target_rows(input_path)
     ds = ray.data.read_parquet(input_path, columns=columns)
-    # fixed-size actor pool sized to what the cluster can actually start:
-    # Ray's autoscaling (min,max) pools ramp up too slowly and can leave the
-    # stage effectively single-actor
-    cluster_cpus = int(ray.cluster_resources().get("CPU", 8))
-    # leave one CPU for the read/shuffle stages so a fixed pool can always
-    # fully start (a pool larger than the cluster blocks forever)
-    pool = max(1, min(concurrency or cluster_cpus, cluster_cpus - 1))
     ctx = ray.data.DataContext.get_current()
     prev_block_size = ctx.target_max_block_size
     # ~32 MiB scan/shuffle blocks: fine-grained enough to keep every CPU busy
@@ -536,9 +628,8 @@ def encode_dataset(
     # encode at 32 CPUs. Safe because group CONTENT no longer depends on
     # arrival order (groups are sorted by doc_id before block slicing;
     # per-block resume therefore assumes unique doc_id per the input_hint).
-    # HOWARD_SORT_SHUFFLE=1 restores the sort-based exchange.
     prev_push = getattr(ctx, "use_push_based_shuffle", None)
-    if prev_push is not None and not os.environ.get("HOWARD_SORT_SHUFFLE"):
+    if prev_push is not None:
         ctx.use_push_based_shuffle = True
     t0 = time.perf_counter()
 
@@ -548,236 +639,61 @@ def encode_dataset(
         # resolved from parquet metadata: wide rows (token arrays) make the
         # all-to-all VOLUME-priced, where the compressed-exchange mode's
         # ~3.6x smaller shuffle wins on any real network; narrow rows keep
-        # the plain salted shuffle (no double-encode). Threshold in
-        # uncompressed bytes/row (HOWARD_EXCHANGE_BYTES_PER_ROW).
+        # the plain salted shuffle (no double-encode)
         input_meta = _input_meta(input_path)
-        thresh = int(os.environ.get("HOWARD_EXCHANGE_BYTES_PER_ROW", "512"))
-        mode = "cluster-exchange" if input_meta[2] >= thresh else "cluster"
+        mode = ("cluster-exchange"
+                if input_meta[2] >= EXCHANGE_BYTES_PER_ROW else "cluster")
 
     if mode == "stream":
-        if use_actors:
-            # classic actor-pool stage: BlockEncoder state (scratch buffers,
-            # zstd level, completed-set) initialized once per actor
-            rec_ds = ds.map_batches(
-                BlockEncoder,
-                fn_constructor_args=(store_dir, target_rows, completed,
-                                     profile, block_ns),
-                batch_size=target_rows,
-                batch_format="pyarrow",
-                concurrency=pool,
-                num_cpus=1,
-            )
-        else:
-            # default: stateless tasks — same BlockEncoder kernel, but tasks
-            # reuse the session's already-warm worker processes (fresh actor
-            # processes pay multi-second import + page-fault startup on this
-            # host) and the per-worker packing scratch is module-cached, so
-            # the actor pool's state amortization is preserved without its
-            # process-startup cost
-            completed_ref = ray.put(completed)
+        # stateless tasks on the session's already-warm workers; the resume
+        # dict is broadcast once and cached per worker
+        completed_ref = ray.put(completed)
 
-            def encode_stream_batch(batch: pa.Table) -> pa.Table:
-                enc = BlockEncoder(store_dir, target_rows,
-                                   _cached_get(completed_ref), profile,
-                                   block_ns)
-                return enc(batch)
+        def encode_stream_batch(batch: pa.Table) -> pa.Table:
+            if batch.num_rows == 0:
+                return _records_table([])
+            mix, first = _batch_mix(batch)
+            return _records_table(_encode_tables_to_blocks(
+                [batch], store_dir, f"{block_ns}s{mix:016x}", sort_key=first,
+                target_rows=target_rows,
+                completed=_cached_get(completed_ref),
+                input_info=f"stream:{first}:{batch.num_rows}",
+                profile=profile))
 
-            rec_ds = ds.map_batches(
-                encode_stream_batch,
-                batch_size=target_rows,
-                batch_format="pyarrow",
-            )
-    elif mode == "cluster":
-        counts = _per_source_counts_sampled(input_path)
-        salts = {s: max(1, -(-c // target_rows)) for s, c in counts.items()}
-        # shuffle-volume narrowing: metadata-proven safe cast of tokens to
-        # uint16/uint8 before the all-to-all halves (or quarters) the bytes
-        # moved; the group stage casts back before encoding. One footer
-        # sweep also yields the row-group count for the partitioning gate.
-        n_row_groups, narrow, _ = input_meta or _input_meta(input_path)
-        wide_type = None
-        if narrow is not None:
-            schema = ds.schema().base_schema
-            if "tokens" in schema.names:
-                wide_type = schema.field("tokens").type
-
-        def add_salt(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-            _, _, n_salt = _salt_codes(batch["source"], salts)
-            h = stable_hash_u64(batch["doc_id"])
-            out = batch.append_column("salt", pa.array((h % n_salt).astype(np.int64)))
-            # shuffle key: null sources fold to the sentinel (Ray's sort
-            # boundary sampling compares keys in Python and cannot order
-            # None vs str); the DATA column keeps the true null
-            out = out.append_column(
-                "__gsrc", pc.fill_null(out["source"], _NULL_SRC))
-            if wide_type is not None:
-                idx = out.schema.get_field_index("tokens")
-                out = out.set_column(idx, "tokens", out["tokens"].cast(narrow))
-            return out
+        rec_ds = ds.map_batches(encode_stream_batch, batch_size=target_rows,
+                                batch_format="pyarrow")
+    elif mode in ("cluster", "cluster-exchange"):
+        exchange = mode == "cluster-exchange"
+        grouped, unpack = _salted_groups(ds, input_path, columns, target_rows,
+                                         input_meta, exchange)
 
         def encode_group(group: pa.Table) -> pa.Table:
             if group.num_rows == 0:
                 return _records_table([])
-            from .codecs import zstd as zstd_mod
-            from .codecs.bitpack import warmup
-            warmup()  # once per worker process (module-level cache)
-            zstd_mod.set_level(ENCODE_PROFILES[profile]["zstd_level"])
+            import pyarrow.compute as pc
             source = _safe_key(group["source"][0].as_py())
             salt = group["salt"][0].as_py()
-            body = group.drop_columns(["salt", "__gsrc"])
-            if wide_type is not None:
-                idx = body.schema.get_field_index("tokens")
-                body = body.set_column(idx, "tokens", body["tokens"].cast(wide_type))
+            body = unpack(group)
             # deterministic content: order by doc_id, not by arrival — block
             # contents (and therefore resume identity) must not depend on
             # the shuffle implementation's intra-key merge order (this is
-            # what makes the push-based shuffle safe to enable below)
-            import pyarrow.compute as pc
+            # what makes the push-based shuffle safe to enable above).
+            # Duplicate doc_ids leave the exchange's tie order shuffle-
+            # dependent, so its resume is ALL-OR-NOTHING per group: a group
+            # either keeps every completed block or re-encodes every block.
             body = body.take(pc.sort_indices(body["doc_id"]))
-            key = f"{block_ns}{source}-{salt:05d}"
-            recs = _encode_tables_to_blocks(
-                [body], store_dir, key, sort_key=f"{source}/{salt:05d}",
-                target_rows=target_rows, completed=completed,
-                input_info=f"cluster:{source}:{salt}", profile=profile)
-            return _records_table(recs)
+            return _records_table(_encode_tables_to_blocks(
+                [body], store_dir, f"{block_ns}{source}-{salt:05d}",
+                sort_key=f"{source}/{salt:05d}", target_rows=target_rows,
+                completed=completed, input_info=f"{mode}:{source}:{salt}",
+                profile=profile, all_or_nothing=exchange))
 
-        # repartition so the sort shuffle and the per-group encode stage get
-        # enough partitions to occupy every CPU (a ~350MB single-file read
-        # otherwise yields a handful of blocks and the whole pipeline
-        # serializes behind them)
-        # ~2 sort partitions per CPU: enough parallelism for the all-to-all
-        # without quadratic tiny-object overhead (measured sweet spot)
-        n_rows_est = sum(counts.values())
-        n_parts = int(os.environ.get("HOWARD_SHUFFLE_PARTS", "0")) or \
-            max(2, min(2 * pool, 128,
-                       -(-n_rows_est // max(1, target_rows))))
-        # Parallelism shaping WITHOUT an extra exchange: when the parquet
-        # layout itself can be split into n_parts read blocks (metadata
-        # row-group count from the same footer sweep as the narrowing), ask
-        # the READ for n_parts blocks and feed the sort directly; the old
-        # .repartition(n_parts) round (a second full all-to-all before the
-        # sort, ~15-20% of cluster-mode wall) remains only as the fallback
-        # for single-file/few-row-group inputs the scan cannot split wide
-        # enough (the sort shuffle's partition count follows its input
-        # block count, so an under-split read would throttle the exchange).
-        if not os.environ.get("HOWARD_FORCE_REPART") \
-                and n_row_groups >= n_parts:
-            salted = ray.data.read_parquet(
-                input_path, columns=columns, override_num_blocks=n_parts,
-            ).map_batches(add_salt, batch_format="pyarrow")
-        else:
-            salted = ds.map_batches(add_salt, batch_format="pyarrow") \
-                       .repartition(n_parts)
-        rec_ds = salted.groupby(["__gsrc", "salt"]) \
-                       .map_groups(encode_group, batch_format="pyarrow")
-    elif mode == "cluster-exchange":
-        # network-optimized cluster pipeline: rows are pre-encoded into
-        # per-(source,salt) MINI-BLOCKS before the all-to-all, so the
-        # exchange moves already-compressed bytes (~3.6x less volume — the
-        # decisive cost on a real multi-node shuffle); the reducer decodes
-        # its mini-blocks, concatenates, sorts by doc_id (deterministic
-        # block content regardless of arrival order) and encodes the final
-        # full-quality blocks. Trade: encode work happens twice (fast
-        # profile pre-pass + final), a clear win when the network — not the
-        # CPU — prices the shuffle.
-        counts = _per_source_counts_sampled(input_path)
-        salts = {s: max(1, -(-c // target_rows)) for s, c in counts.items()}
-        FAST_CODECS = {"doc_id": "plain_str", "source": "dict_str",
-                       "tokens": "for_bytes", "n_tok": "for_bytes"}
-
-        def pack_minis(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return pa.table({
-                    "source": pa.array([], type=pa.string()),
-                    "salt": pa.array([], type=pa.int64()),
-                    "payload": pa.array([], type=pa.binary()),
-                    "n_rows": pa.array([], type=pa.int64()),
-                })
-            from .codecs import zstd as zstd_mod
-            from .codecs.bitpack import warmup
-            warmup()
-            # reset the worker-local zstd level explicitly: workers are
-            # long-lived and a prior archive-profile run leaves LEVEL=19
-            # behind, which would silently zstd-19 every mini-block here
-            zstd_mod.set_level(ENCODE_PROFILES["standard"]["zstd_level"])
-            dict_vals, codes, n_salt = _salt_codes(batch["source"], salts)
-            h = stable_hash_u64(batch["doc_id"])
-            salt = (h % n_salt).astype(np.int64)
-            # vectorized partition: lexsort by (source-code, salt) then
-            # boundary split on the sorted integer pair — no per-row Python.
-            # Group ORDER within this batch is code- not string-ordered;
-            # irrelevant downstream (groups re-shuffle by key, final block
-            # content re-sorts by doc_id in encode_group_minis).
-            order = np.lexsort((salt, codes))
-            sorted_batch = batch.take(pa.array(order))
-            c_sorted, t_sorted = codes[order], salt[order]
-            bounds = np.flatnonzero(np.concatenate(
-                ([True], (c_sorted[1:] != c_sorted[:-1])
-                 | (t_sorted[1:] != t_sorted[:-1]))))
-            ends = np.concatenate((bounds[1:], [len(c_sorted)]))
-            out_src, out_salt, out_payload, out_rows = [], [], [], []
-            codecs = {c: FAST_CODECS[c] for c in batch.column_names
-                      if c in FAST_CODECS}
-            for b, e in zip(bounds, ends):
-                sub = sorted_batch.slice(int(b), int(e - b))
-                data, _ = encode_block(sub, "mini", codecs=codecs)
-                out_src.append(dict_vals[int(c_sorted[b])])
-                out_salt.append(int(t_sorted[b]))
-                out_payload.append(data)
-                out_rows.append(int(e - b))
-            return pa.table({
-                "source": pa.array(out_src, type=pa.string()),
-                "salt": pa.array(out_salt, type=pa.int64()),
-                "payload": pa.array(out_payload, type=pa.binary()),
-                "n_rows": pa.array(out_rows, type=pa.int64()),
-            })
-
-        def encode_group_minis(group: pa.Table) -> pa.Table:
-            if group.num_rows == 0:
-                return _records_table([])
-            from .codecs import zstd as zstd_mod
-            from .codecs.bitpack import warmup
-            warmup()
-            zstd_mod.set_level(ENCODE_PROFILES[profile]["zstd_level"])
-            source = _safe_key(group["source"][0].as_py())
-            salt = group["salt"][0].as_py()
-            tables = [decode_block(p.as_py()) for p in group["payload"]]
-            body = pa.concat_tables(tables).combine_chunks()
-            # deterministic content: order by doc_id, not by arrival.
-            # Duplicate doc_ids would leave tie order shuffle-dependent, so
-            # resume for this mode is ALL-OR-NOTHING per group (below): a
-            # group either keeps every completed block or re-encodes every
-            # block — block boundaries can then never mix two runs' orders.
-            import pyarrow.compute as pc
-            body = body.take(pc.sort_indices(body["doc_id"]))
-            key = f"{block_ns}{source}-{salt:05d}"
-            recs = _encode_tables_to_blocks(
-                [body], store_dir, key, sort_key=f"{source}/{salt:05d}",
-                target_rows=target_rows, completed=completed,
-                input_info=f"cluster-exchange:{source}:{salt}",
-                profile=profile, all_or_nothing=True)
-            return _records_table(recs)
-
-        # pack several target blocks per batch: each pack batch splits into
-        # ~|present (source,salt) pairs| minis, so bigger batches mean fewer,
-        # larger minis (less per-mini codec overhead, better mini compression)
-        pack_mult = int(os.environ.get("HOWARD_EXCHANGE_PACK_MULT", "4"))
-        rec_ds = (
-            ds.map_batches(pack_minis, batch_format="pyarrow",
-                           batch_size=target_rows * pack_mult)
-              .groupby(["source", "salt"])
-              .map_groups(encode_group_minis, batch_format="pyarrow")
-        )
+        rec_ds = grouped.map_groups(encode_group, batch_format="pyarrow")
     else:
         raise ValueError(f"unknown mode {mode}")
 
     try:
         records = [json.loads(r["record"]) for r in rec_ds.take_all()]
-        if os.environ.get("HOWARD_PRINT_STATS"):
-            # per-stage wall/CPU/rows breakdown from Ray Data's own
-            # instrumentation — the tuning feedback loop for each mode
-            print(rec_ds.stats())
     finally:
         ctx.target_max_block_size = prev_block_size
         if prev_push is not None:
@@ -916,15 +832,32 @@ def _read_logical_block(store_dir: str, block_id: str, rmap: dict,
         col = read_block_file(
             os.path.join(store_dir, "blocks", ext[c])).column(0)
         t = pa.table({c: col}) if t is None else t.append_column(c, col)
-    if missing:
-        if t is None:  # nothing requested exists in this block
-            n = read_block_meta(data)["n_rows"]
-        else:
-            n = t.num_rows
-        for c in missing:
-            col = pa.nulls(n, fills[c])
-            t = pa.table({c: col}) if t is None else t.append_column(c, col)
+    if t is None:
+        # nothing requested exists in this block, or no column was asked
+        # for (COUNT(*)): a zero-column table that still carries the rows
+        from .block import read_block_meta_path
+        n = read_block_meta_path(block_path(store_dir, block_id))["n_rows"]
+        t = pa.table({"": pa.nulls(n)}).select([])
+    for c in missing:
+        t = t.append_column(c, pa.nulls(t.num_rows, fills[c]))
     return t.select(columns)
+
+
+def _keep_mask(store_dir: str, block_id: str, n_rows: int):
+    """Boolean keep-vector for a block's tombstoned rows, or None when
+    nothing is deleted."""
+    idx = load_tombstone(store_dir, block_id)
+    if idx is None or len(idx) == 0:
+        return None
+    keep = np.ones(n_rows, dtype=bool)
+    keep[idx] = False
+    return keep
+
+
+def _live_rows(store_dir: str, block_id: str, t: pa.Table) -> pa.Table:
+    """``t`` (a block's full physical rows) minus its tombstoned rows."""
+    keep = _keep_mask(store_dir, block_id, t.num_rows)
+    return t if keep is None else t.filter(pa.array(keep))
 
 
 def derive_column(store_dir: str, name: str, fn,
@@ -957,10 +890,6 @@ def derive_column(store_dir: str, name: str, fn,
     fn_ref = ray.put(fn)
 
     def derive(batch: pa.Table) -> pa.Table:
-        from .codecs import zstd as zstd_mod
-        from .codecs.bitpack import warmup
-        warmup()
-        zstd_mod.set_level(ENCODE_PROFILES[profile]["zstd_level"])
         f = _cached_get(fn_ref)
         recs = []
         for bid_a, rmap_a in zip(batch["block_id"], batch["rmap"]):
@@ -977,7 +906,9 @@ def derive_column(store_dir: str, name: str, fn,
                     f"{t_in.num_rows}-row block {bid}")
             col_tbl = pa.table({name: arr})
             fname = _ext_file_name(bid, name)
-            file_bytes, meta = encode_block(col_tbl, f"{bid}.c_{name}")
+            file_bytes, meta = encode_block(
+                col_tbl, f"{bid}.c_{name}",
+                zstd_level=ENCODE_PROFILES[profile]["zstd_level"])
             write_block_file(os.path.join(store_dir, "blocks", fname),
                              file_bytes)
             e = meta["columns"][name]
@@ -1011,9 +942,7 @@ def derive_column(store_dir: str, name: str, fn,
         b.setdefault("columns", {})[name] = {"stats": r["stats"]}
         b.setdefault("codecs", {})[name] = r["codec"]
         ext_bytes += r["ext_bytes"]
-    extra = {k: v for k, v in footer.items()
-             if k not in ("version", "n_blocks", "n_rows", "encoded_bytes",
-                          "blocks", "sharded", "shards")}
+    extra = dict(footer)  # write_footer strips the structural keys
     derived = dict(extra.get("derived_cols") or {})
     derived[name] = input_columns
     extra["derived_cols"] = derived
@@ -1077,10 +1006,7 @@ def build_bloom_index(store_dir: str, column: str,
             continue
         b.setdefault("blooms", {})[column] = r["file"]
         total += r["bytes"]
-    extra = {k: v for k, v in footer.items()
-             if k not in ("version", "n_blocks", "n_rows", "encoded_bytes",
-                          "blocks", "sharded", "shards")}
-    write_footer(store_dir, blocks, extra=extra)
+    write_footer(store_dir, blocks, extra=footer)
     return {"n_blocks_indexed": len(new), "bloom_bytes": total}
 
 
@@ -1166,9 +1092,7 @@ def alter_store(store_dir: str, rename: dict | None = None,
                 b[k] = v
             else:
                 b.pop(k, None)
-    extra = {k: v for k, v in footer.items()
-             if k not in ("version", "n_blocks", "n_rows", "encoded_bytes",
-                          "blocks", "sharded", "shards")}
+    extra = dict(footer)  # write_footer strips the structural keys
     # name history guards future appends: an input delivery carrying a
     # renamed-away or dropped name would silently fork the schema
     hist = {k: rename.get(v, v)
@@ -1278,8 +1202,6 @@ def scrub_store(store_dir: str, deep: bool = True) -> dict:
         return {"n_blocks": 0, "n_ok": 0, "damaged": []}
 
     def check(batch: pa.Table) -> pa.Table:
-        from .codecs.bitpack import warmup
-        warmup()
         recs = []
         for bid_a, rmap_j, blooms_j, nr_a, eb_a in zip(
                 batch["block_id"], batch["rmap"], batch["blooms"],
@@ -1321,8 +1243,7 @@ def scrub_store(store_dir: str, deep: bool = True) -> dict:
 
 def append_to_store(store_dir: str, input_path: str | list[str], *,
                     mode: str = "auto", profile: str = "standard",
-                    target_rows: int | None = None,
-                    concurrency: int | None = None) -> dict:
+                    target_rows: int | None = None) -> dict:
     """Incremental ingest: encode ``input_path`` into an EXISTING store as a
     new append epoch, leaving every prior block untouched, and atomically
     swap in the union footer (the daily-drop shape: each delivery appends,
@@ -1363,7 +1284,7 @@ def append_to_store(store_dir: str, input_path: str | list[str], *,
                 f"compact + re-create the column) before appending")
     return encode_dataset(
         input_path, store_dir, mode=mode, profile=profile,
-        target_rows=target_rows, concurrency=concurrency,
+        target_rows=target_rows,
         # '=' is a character _safe_key can never emit (percent-encoded in
         # source names), so the epoch namespace cannot collide with a
         # base-encode of a source literally named like "a01-web" — such a
@@ -1583,17 +1504,6 @@ def decode_store(store_dir: str, columns: list[str] | None = None,
         return ray.data.from_arrow(
             pa.table({c: pa.nulls(0, th[c]) for c in want_cols}))
 
-    def _keep_mask(tomb_id: str, n_rows: int):
-        """Boolean keep-vector for a block, or None when nothing is deleted."""
-        if not tomb_id:
-            return None
-        idx = load_tombstone(store_dir, tomb_id)
-        if idx is None or len(idx) == 0:
-            return None
-        keep = np.ones(n_rows, dtype=bool)
-        keep[idx] = False
-        return keep
-
     def decode_one(batch: pa.Table) -> list[pa.Table]:
         out = []
         for bid, rmap_j, tomb in zip(batch["block_id"], batch["rmap"],
@@ -1601,10 +1511,8 @@ def decode_store(store_dir: str, columns: list[str] | None = None,
             t = _read_logical_block(store_dir, bid.as_py(),
                                     json.loads(rmap_j.as_py()), eff_columns,
                                     fills=fills)
-            keep = _keep_mask(tomb.as_py(), t.num_rows)
-            if keep is not None:
-                t = t.filter(pa.array(keep))
-            out.append(t)
+            out.append(_live_rows(store_dir, tomb.as_py(), t)
+                       if tomb.as_py() else t)
         return out
 
     def decode_pred(batch: pa.Table) -> list[pa.Table]:
@@ -1667,7 +1575,8 @@ def decode_store(store_dir: str, columns: list[str] | None = None,
                     break
             if empty:
                 continue
-            keep = _keep_mask(tomb.as_py(), n_rows)
+            keep = (_keep_mask(store_dir, bid, n_rows) if tomb.as_py()
+                    else None)
             if keep is not None:
                 mask = pc.and_(mask, pa.array(keep))
             n_match = pc.sum(mask.cast(pa.int8())).as_py() or 0
@@ -1686,7 +1595,7 @@ def decode_store(store_dir: str, columns: list[str] | None = None,
                          for c in read_block_meta(data)["columns"]
                          if c not in drops] + list(ext)
             rest = [c for c in names if c not in decoded_cols]
-            if rest:
+            if rest or not names:  # no names: a zero-column row count
                 t = _read_logical_block(store_dir, bid, rmap, rest,
                                         fills=fills)
                 for col in names:
@@ -1699,9 +1608,11 @@ def decode_store(store_dir: str, columns: list[str] | None = None,
         return out
 
     def decode_flat(batch: pa.Table) -> pa.Table:
-        from .codecs.bitpack import warmup
-        warmup()
         tables = decode_pred(batch) if predicate is not None else decode_one(batch)
+        if tables and not tables[0].num_columns:
+            # no column asked for (COUNT(*)): Ray counts a zero-column Arrow
+            # block as empty, while a zero-column pandas frame keeps its rows
+            return pd.DataFrame(index=range(sum(t.num_rows for t in tables)))
         return pa.concat_tables(tables) if tables else pa.table({})
 
     # one input block per encoded block file → block-parallel decode tasks
@@ -1744,6 +1655,33 @@ def read_changes(store_dir: str, since_snapshot: int,
     new_ids = live_ids - old_ids
     return decode_store(store_dir, columns=columns, block_ids=new_ids,
                         predicate=predicate, as_of=until_snapshot)
+
+
+def _swap_footer(store_dir: str, footer: dict, records: list[dict],
+                 removed: list[dict], **extra) -> dict:
+    """The one destructive footer swap shared by compaction, purge and
+    recluster: publish ``records`` with the prior footer's extras (updated
+    by ``extra``; write_footer strips the structural keys), expire every
+    snapshot that references a ``removed`` block (time travel does not
+    cross destructive maintenance), then delete each removed block's file,
+    tombstone, derived sidecars and Bloom filters. Crash-safe: before the
+    swap the old footer still describes the store; after it the removed
+    files are unreferenced garbage, never corruption."""
+    new_footer = write_footer(store_dir, records, extra={**footer, **extra})
+    expire_snapshots(store_dir, {b["block_id"] for b in removed})
+    for b in removed:
+        bid = b["block_id"]
+        for path in (block_path(store_dir, bid),
+                     tombstone_path(store_dir, bid),
+                     *(os.path.join(store_dir, "blocks", f)
+                       for f in (b.get("ext_files") or {}).values()),
+                     *(os.path.join(store_dir, "blooms", f)
+                       for f in (b.get("blooms") or {}).values())):
+            try:
+                sio.remove(path)
+            except OSError:
+                pass
+    return new_footer
 
 
 def compact_store(store_dir: str, *, target_rows: int | None = None,
@@ -1823,10 +1761,6 @@ def compact_store(store_dir: str, *, target_rows: int | None = None,
              for bin_ in bins]
 
     def merge_bin(batch: pa.Table) -> pa.Table:
-        from .codecs import zstd as zstd_mod
-        from .codecs.bitpack import warmup
-        warmup()
-        zstd_mod.set_level(ENCODE_PROFILES[profile]["zstd_level"])
         recs: list[dict] = []
         for members_json, sort_key in zip(batch["members"].to_pylist(),
                                           batch["sort_key"].to_pylist()):
@@ -1837,16 +1771,11 @@ def compact_store(store_dir: str, *, target_rows: int | None = None,
                 # derived sidecars, renames and drops fold PHYSICALLY into
                 # the merged base block (metadata-only schema evolution is
                 # materialized by normal maintenance)
-                t = _read_logical_block(store_dir, bid, rmap)
                 # deletes survive compaction: merged blocks are built from
                 # the LIVE rows only, and the members' tombstones die with
                 # the member files after the footer swap
-                idx = load_tombstone(store_dir, bid)
-                if idx is not None and len(idx):
-                    keep = np.ones(t.num_rows, dtype=bool)
-                    keep[idx] = False
-                    t = t.filter(pa.array(keep))
-                tables.append(t)
+                tables.append(_live_rows(
+                    store_dir, bid, _read_logical_block(store_dir, bid, rmap)))
             if len({tuple(t.schema.names) for t in tables}) > 1:
                 # mixed-epoch bin (schema evolution on append): normalize
                 # every member to the union schema with typed-null fills
@@ -1881,31 +1810,10 @@ def compact_store(store_dir: str, *, target_rows: int | None = None,
     new_records = [json.loads(r) for r in
                    rec_ds.to_pandas()["record"].tolist()]
 
-    merged = {b["block_id"]: b for bin_ in bins for b in bin_}
-    merged_ids = set(merged)
+    merged = [b for bin_ in bins for b in bin_]
+    merged_ids = {b["block_id"] for b in merged}
     kept = [b for b in blocks if b["block_id"] not in merged_ids]
-    extra = {k: v for k, v in footer.items()
-             if k not in ("version", "n_blocks", "n_rows", "encoded_bytes",
-                          "blocks", "sharded", "shards")}
-    new_footer = write_footer(store_dir, kept + new_records, extra=extra)
-    # snapshots that reference the about-to-be-removed member blocks are
-    # expired eagerly (time travel does not cross destructive maintenance)
-    expire_snapshots(store_dir, merged_ids)
-    # footer is durable — now the old files (and their tombstones and
-    # derived-column sidecars, already folded into the merged blocks) are
-    # unreachable garbage
-    for bid in merged_ids:
-        m = merged[bid]
-        for path in (block_path(store_dir, bid),
-                     tombstone_path(store_dir, bid),
-                     *(os.path.join(store_dir, "blocks", f)
-                       for f in (m.get("ext_files") or {}).values()),
-                     *(os.path.join(store_dir, "blooms", f)
-                       for f in (m.get("blooms") or {}).values())):
-            try:
-                sio.remove(path)
-            except OSError:
-                pass
+    new_footer = _swap_footer(store_dir, footer, kept + new_records, merged)
     return {"n_blocks_before": before["n_blocks"],
             "encoded_bytes_before": before["encoded_bytes"],
             "n_blocks_after": new_footer["n_blocks"],
@@ -1987,10 +1895,6 @@ def recluster_store(store_dir: str, by: "str | list[str]", *,
     def encode_sorted(batch: pa.Table) -> pa.Table:
         import hashlib
 
-        from .codecs import zstd as zstd_mod
-        from .codecs.bitpack import warmup
-        warmup()
-        zstd_mod.set_level(ENCODE_PROFILES[profile]["zstd_level"])
         if batch.num_rows == 0:  # all-tombstoned member decodes empty
             return _records_table([])
         skey = "__z" if "__z" in batch.column_names else key0
@@ -2018,25 +1922,10 @@ def recluster_store(store_dir: str, by: "str | list[str]", *,
 
     # derived sidecars and renames are now materialized base columns; the
     # evolution metadata must not survive into the reclustered footer
-    extra = {k: v for k, v in footer.items()
-             if k not in ("version", "n_blocks", "n_rows", "encoded_bytes",
-                          "blocks", "sharded", "shards", "derived_cols")}
-    extra["clustered_by"] = cols if not zorder else {"zorder": cols}
-    new_footer = write_footer(store_dir, new_records, extra=extra)
-    old_ids = {b["block_id"] for b in old}
-    expire_snapshots(store_dir, old_ids)
-    for b in old:
-        bid = b["block_id"]
-        for path in (block_path(store_dir, bid),
-                     tombstone_path(store_dir, bid),
-                     *(os.path.join(store_dir, "blocks", f)
-                       for f in (b.get("ext_files") or {}).values()),
-                     *(os.path.join(store_dir, "blooms", f)
-                       for f in (b.get("blooms") or {}).values())):
-            try:
-                sio.remove(path)
-            except OSError:
-                pass
+    new_footer = _swap_footer(
+        store_dir, {k: v for k, v in footer.items() if k != "derived_cols"},
+        new_records, old,
+        clustered_by=cols if not zorder else {"zorder": cols})
     return {"n_blocks_before": len(old),
             "n_blocks_after": new_footer["n_blocks"],
             "n_rows": new_footer["n_rows"],
@@ -2097,12 +1986,7 @@ def recluster_incremental(store_dir: str, by: str, *,
             cur_hi = stats[i]["max"]
     rewrite = [i for comp in comps for i in comp if len(comp) > 1]
     if not rewrite:
-        extra = {k: v for k, v in footer.items()
-                 if k not in ("version", "n_blocks", "n_rows",
-                              "encoded_bytes", "blocks", "sharded",
-                              "shards")}
-        extra["clustered_by"] = [by]
-        write_footer(store_dir, old, extra=extra)
+        write_footer(store_dir, old, extra={**footer, "clustered_by": [by]})
         return {"n_blocks_before": len(old), "n_blocks_rewritten": 0,
                 "n_blocks_after": len(old), "n_rows": footer["n_rows"],
                 "clustered_by": [by]}
@@ -2119,12 +2003,6 @@ def recluster_incremental(store_dir: str, by: str, *,
         import bisect
         import hashlib
 
-        import numpy as np
-
-        from .codecs import zstd as zstd_mod
-        from .codecs.bitpack import warmup
-        warmup()
-        zstd_mod.set_level(ENCODE_PROFILES[profile]["zstd_level"])
         if batch.num_rows == 0:  # all-tombstoned member decodes empty
             return _records_table([])
         keys = batch[by].to_pylist()
@@ -2157,25 +2035,9 @@ def recluster_incremental(store_dir: str, by: str, *,
     new_records = [json.loads(r) for r in
                    rec_ds.to_pandas()["record"].tolist()]
 
-    extra = {k: v for k, v in footer.items()
-             if k not in ("version", "n_blocks", "n_rows", "encoded_bytes",
-                          "blocks", "sharded", "shards")}
-    extra["clustered_by"] = [by]
-    new_footer = write_footer(store_dir, kept + new_records, extra=extra)
-    expire_snapshots(store_dir, rewrite_ids)
-    for b in old:
-        if b["block_id"] not in rewrite_ids:
-            continue
-        for path in (block_path(store_dir, b["block_id"]),
-                     tombstone_path(store_dir, b["block_id"]),
-                     *(os.path.join(store_dir, "blocks", f)
-                       for f in (b.get("ext_files") or {}).values()),
-                     *(os.path.join(store_dir, "blooms", f)
-                       for f in (b.get("blooms") or {}).values())):
-            try:
-                sio.remove(path)
-            except OSError:
-                pass
+    new_footer = _swap_footer(
+        store_dir, footer, kept + new_records,
+        [b for b in old if b["block_id"] in rewrite_ids], clustered_by=[by])
     return {"n_blocks_before": len(old),
             "n_blocks_rewritten": len(rewrite_ids),
             "n_blocks_after": new_footer["n_blocks"],
@@ -2235,11 +2097,7 @@ def export_sorted(store_dir: str, by: str, out_dir: str, *,
             t = _read_logical_block(store_dir, bid_a.as_py(),
                                     json.loads(rmap_a.as_py()), cols)
             if tomb_a.as_py():
-                idx = load_tombstone(store_dir, bid_a.as_py())
-                if idx is not None and len(idx):
-                    keep = np.ones(t.num_rows, dtype=bool)
-                    keep[idx] = False
-                    t = t.filter(pa.array(keep))
+                t = _live_rows(store_dir, bid_a.as_py(), t)
             t = t.sort_by(by)
             path = os.path.join(out_dir,
                                 f"part-{rank_a.as_py():05d}.parquet")
@@ -2339,10 +2197,6 @@ def purge_deletes(store_dir: str, profile: str = "standard") -> dict:
               "n_rows": b["n_rows"]} for b in doomed]
 
     def rewrite(batch: pa.Table) -> pa.Table:
-        from .codecs import zstd as zstd_mod
-        from .codecs.bitpack import warmup
-        warmup()
-        zstd_mod.set_level(ENCODE_PROFILES[profile]["zstd_level"])
         recs = []
         for bid_a, sk_a, rmap_j in zip(batch["block_id"], batch["sort_key"],
                                        batch["rmap"]):
@@ -2350,11 +2204,7 @@ def purge_deletes(store_dir: str, profile: str = "standard") -> dict:
             # derived sidecars / renames / drops fold into the rewrite
             t = _read_logical_block(store_dir, bid,
                                     json.loads(rmap_j.as_py()))
-            idx = load_tombstone(store_dir, bid)
-            keep = np.ones(t.num_rows, dtype=bool)
-            if idx is not None:
-                keep[idx] = False
-            live = t.filter(pa.array(keep))
+            live = _live_rows(store_dir, bid, t)
             purged = t.num_rows - live.num_rows
             if live.num_rows:
                 digest = hashlib.blake2b(bid.encode(),
@@ -2375,24 +2225,7 @@ def purge_deletes(store_dir: str, profile: str = "standard") -> dict:
 
     doomed_ids = {b["block_id"] for b in doomed}
     kept = [b for b in blocks if b["block_id"] not in doomed_ids]
-    extra = {k: v for k, v in footer.items()
-             if k not in ("version", "n_blocks", "n_rows", "encoded_bytes",
-                          "blocks", "sharded", "shards")}
-    new_footer = write_footer(store_dir, kept + new_records, extra=extra)
-    expire_snapshots(store_dir, doomed_ids)
-    doomed_by_id = {b["block_id"]: b for b in doomed}
-    for bid in doomed_ids:
-        d = doomed_by_id[bid]
-        for path in (block_path(store_dir, bid),
-                     tombstone_path(store_dir, bid),
-                     *(os.path.join(store_dir, "blocks", f)
-                       for f in (d.get("ext_files") or {}).values()),
-                     *(os.path.join(store_dir, "blooms", f)
-                       for f in (d.get("blooms") or {}).values())):
-            try:
-                sio.remove(path)
-            except OSError:
-                pass
+    new_footer = _swap_footer(store_dir, footer, kept + new_records, doomed)
     return {"n_blocks_rewritten": len(doomed_ids),
             "n_rows_purged": purged_rows,
             "n_blocks_after": new_footer["n_blocks"],

@@ -29,6 +29,8 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def main(argv=None) -> int:
+    from howard_ray.block import ENCODE_PROFILES
+
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--input", required=True,
                    help="parquet file/dir of (doc_id, tokens, n_tok, source)")
@@ -36,7 +38,7 @@ def main(argv=None) -> int:
     p.add_argument("--mode", default="cluster",
                    choices=["stream", "cluster", "cluster-exchange"])
     p.add_argument("--profile", default="standard",
-                   choices=["fast", "standard", "archive"])
+                   choices=sorted(ENCODE_PROFILES))
     p.add_argument("--target-rows", type=int, default=None)
     p.add_argument("--no-resume", action="store_true")
     args = p.parse_args(argv)

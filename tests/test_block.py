@@ -123,3 +123,17 @@ def test_metadata_aggregate_matches_decode(ray_session, tmp_path):
     assert m1["complete"] and m1["sum"] == truth_ntok
     assert m2["complete"] and m2["sum"] == truth_tok
     assert m1["n_rows"] == t.num_rows
+
+
+def test_encode_block_zstd_level_is_per_call():
+    """A level-19 encode leaves no state behind: the next default encode is
+    byte-identical to one in a fresh worker."""
+    from howard_ray.codecs import zstd as zstd_mod
+
+    t = make_tokens_corpus(300)
+    fresh, _ = encode_block(t, "b")
+    archive, _ = encode_block(t, "b", zstd_level=19)
+    after, _ = encode_block(t, "b")
+    assert after == fresh
+    assert archive != fresh
+    assert zstd_mod.LEVEL == 1

@@ -58,6 +58,18 @@ def test_parse_where():
     assert _parse_where("score:<:0.5") == ("score", "<", 0.5)
 
 
+@pytest.mark.parametrize("expr", ["n_tok>=500", "n_tok:>=", "n_tok:=>:5",
+                                  "n_tok:like:5"])
+def test_parse_where_rejects_malformed(expr):
+    """A malformed --where is a one-line usage error naming the shape and
+    the allowed ops, never a traceback or an op passed through."""
+    from howard_ray.cli import _parse_where
+    with pytest.raises(SystemExit) as e:
+        _parse_where(expr)
+    msg = str(e.value)
+    assert "col:op:value" in msg and "contains" in msg and expr in msg
+
+
 def test_cli_decode_where(tmp_path):
     src = str(tmp_path / "c.parquet")
     t = make_tokens_corpus(600)
@@ -80,3 +92,27 @@ def test_cli_decode_where(tmp_path):
     got = pq.read_table(out_dir)
     assert got.num_rows == want
     assert set(got["source"].to_pylist()) == {"web"}
+
+
+def test_encode_job_rejects_unknown_profile(tmp_path, monkeypatch, capsys):
+    """The job's --profile choices are the engine's profiles: an unknown one
+    is an argparse usage error (exit 2) before any Ray work starts."""
+    import importlib.util
+
+    import ray
+
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "jobs", "encode_job.py")
+    spec = importlib.util.spec_from_file_location("encode_job", path)
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+
+    def no_ray(*a, **k):
+        raise AssertionError("Ray was started")
+
+    monkeypatch.setattr(ray, "init", no_ray)
+    with pytest.raises(SystemExit) as e:
+        job.main(["--input", str(tmp_path / "in.parquet"),
+                  "--store", str(tmp_path / "store"), "--profile", "fast"])
+    assert e.value.code == 2
+    assert "fast" in capsys.readouterr().err

@@ -126,3 +126,24 @@ def test_tombstone_roundtrip_and_corruption(tmp_path):
     open(path, "wb").write(bytes(data))
     with pytest.raises(ValueError):
         load_tombstone(st, "blk-1")
+
+
+def test_zero_column_count_after_delete(ray_session, tmp_path):
+    """COUNT(*) and a zero-column decode on a tombstoned store (no footer
+    fast path) read the live row count, with and without a predicate."""
+    from howard_ray.sqlmini import run_sql
+
+    src = str(tmp_path / "corpus.parquet")
+    write_corpus(src, 2000, seed=42)
+    st = str(tmp_path / "store")
+    encode_dataset(src, st, mode="cluster", target_rows=400)
+    delete_where(st, ("n_tok", "<", 100))
+    full = pq.read_table(src)
+    live = full.filter(pc.greater_equal(full["n_tok"], 100))
+    assert 0 < live.num_rows < full.num_rows
+    assert decode_store(st, columns=[]).count() == live.num_rows
+    out = run_sql(st, "SELECT COUNT(*) AS n FROM store")
+    assert out["n"].tolist() == [live.num_rows]
+    web = live.filter(pc.equal(live["source"], "web")).num_rows
+    assert decode_store(st, columns=[],
+                        predicate=("source", "==", "web")).count() == web

@@ -154,8 +154,8 @@ def test_cluster_exchange_roundtrip(ray_session, corpus_file, tmp_path):
 
 def test_null_source_rows_survive_both_cluster_modes(ray_session, tmp_path):
     """Rows with source=NULL must not crash the salted stages (dictionary
-    indices would carry nulls); they fold into the '' salt group and round-
-    trip unchanged."""
+    indices would carry nulls); they fold into the '' salt group, round-
+    trip unchanged, and both modes write the same blocks."""
     import ray
 
     t = make_tokens_corpus(200)
@@ -166,11 +166,36 @@ def test_null_source_rows_survive_both_cluster_modes(ray_session, tmp_path):
                      pa.array(src, type=pa.string()))
     path = str(tmp_path / "nulls.parquet")
     pq.write_table(t, path)
+    crcs = []
     for mode in ("cluster", "cluster-exchange"):
         store = str(tmp_path / f"st_{mode}")
-        encode_dataset(path, store, mode=mode, target_rows=64)
+        footer = encode_dataset(path, store, mode=mode, target_rows=64)
         out = pa.concat_tables(ray.get(decode_store(store).to_arrow_refs()))
         _assert_same(t, out)
+        crcs.append({b["block_id"]: b["crc32"] for b in footer["blocks"]})
+    assert crcs[0] == crcs[1]
+
+
+def test_cluster_and_exchange_write_identical_blocks(ray_session, corpus_file,
+                                                     tmp_path):
+    """The two clustered modes differ only in what crosses the shuffle:
+    same block ids, same bytes."""
+    crcs = []
+    for mode in ("cluster", "cluster-exchange"):
+        footer = encode_dataset(corpus_file, str(tmp_path / mode), mode=mode,
+                                target_rows=1000)
+        crcs.append({b["block_id"]: b["crc32"] for b in footer["blocks"]})
+    assert len(crcs[0]) > 1
+    assert crcs[0] == crcs[1]
+
+
+def test_pipeline_reads_no_environment():
+    """Encode behaviour is set by arguments and derived values only: no
+    environment knob may grow back into the pipeline module."""
+    import howard_ray.pipeline as hp
+    with open(hp.__file__) as f:
+        src = f.read()
+    assert "os.environ" not in src and "getenv" not in src
 
 
 def test_resume_reencodes_on_profile_change(ray_session, corpus_file, tmp_path):
@@ -204,12 +229,14 @@ def test_sampled_vs_exact_salt_sizing_same_content(ray_session, corpus_file,
     from howard_ray.pipeline import _per_source_counts, \
         _per_source_counts_sampled
 
+    import howard_ray.pipeline as hp
+
     s1 = str(tmp_path / "store_sampled")
     encode_dataset(corpus_file, s1, mode="cluster", target_rows=1000)
-    monkeypatch.setenv("HOWARD_EXACT_STATS", "1")
-    s2 = str(tmp_path / "store_exact")
-    encode_dataset(corpus_file, s2, mode="cluster", target_rows=1000)
-    monkeypatch.delenv("HOWARD_EXACT_STATS")
+    with monkeypatch.context() as m:
+        m.setattr(hp, "_per_source_counts_sampled", _per_source_counts)
+        s2 = str(tmp_path / "store_exact")
+        encode_dataset(corpus_file, s2, mode="cluster", target_rows=1000)
 
     a = pa.concat_tables(
         [ray.get(r) for r in decode_store(s1).to_arrow_refs()])
