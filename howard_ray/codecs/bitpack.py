@@ -20,16 +20,30 @@ _scratch_bits: np.ndarray | None = None
 _scratch_tmp: np.ndarray | None = None
 
 
-def _scratch(width: int):
-    global _scratch_bits, _scratch_tmp
+def _prefaulted(shape, dtype) -> np.ndarray:
+    a = np.empty(shape, dtype=dtype)
+    # pre-fault every page now: first-touch page faults are pathologically
+    # slow on this kernel, so pay them once per process, off the hot path
+    a.fill(0)
+    return a
+
+
+def _bits_scratch(width: int) -> np.ndarray:
+    global _scratch_bits
     if _scratch_bits is None or _scratch_bits.shape[0] < width:
-        _scratch_bits = np.empty((max(width, 24), CHUNK), dtype=np.uint8)
-        _scratch_tmp = np.empty(CHUNK, dtype=np.uint64)
-        # pre-fault every page now: first-touch page faults are pathologically
-        # slow on this kernel, so pay them once per process, off the hot path
-        _scratch_bits.fill(0)
-        _scratch_tmp.fill(0)
-    return _scratch_bits, _scratch_tmp
+        _scratch_bits = _prefaulted((max(width, 24), CHUNK), np.uint8)
+    return _scratch_bits
+
+
+def _tmp_scratch(n: int) -> np.ndarray:
+    """A uint64 buffer of at least ``min(n, CHUNK)`` values. Sized by the
+    largest chunk seen, and apart from the packing planes, so a process
+    that only decodes small blocks holds a small buffer."""
+    global _scratch_tmp
+    n = min(n, CHUNK)
+    if _scratch_tmp is None or _scratch_tmp.shape[0] < n:
+        _scratch_tmp = _prefaulted(n, np.uint64)
+    return _scratch_tmp
 
 
 def bit_width(max_val: int) -> int:
@@ -49,7 +63,7 @@ def pack_bits(vals: np.ndarray, width: int) -> bytes:
     n = v.size
     if n == 0:
         return b""
-    bits, tmp = _scratch(width)
+    bits, tmp = _bits_scratch(width), _tmp_scratch(n)
     parts: list[bytes] = []
     for s in range(0, n, CHUNK):
         c = min(CHUNK, n - s)
@@ -73,7 +87,7 @@ def unpack_bits(buf: bytes | memoryview, n: int, width: int) -> np.ndarray:
         return np.zeros(n, dtype=np.uint64)
     raw = np.frombuffer(buf, dtype=np.uint8)
     out = np.empty(n, dtype=np.uint64)
-    _, tmp = _scratch(width)
+    tmp = _tmp_scratch(n)
     pos = 0
     for s in range(0, n, CHUNK):
         c = min(CHUNK, n - s)

@@ -36,6 +36,7 @@ caller (driver contract in /root/repo/__ray_entry__.py).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -200,7 +201,12 @@ def _batch_mix(batch: pa.Table) -> tuple[int, str]:
                 h = np.asarray(pc.list_value_length(arr),
                                dtype=np.uint64)
                 try:
-                    fv = arr.flatten().to_numpy(zero_copy_only=False)
+                    flat = arr.flatten()
+                    if (pa.types.is_string(flat.type)
+                            or pa.types.is_large_string(flat.type)):
+                        fv = stable_hash_u64(flat)  # strings by value
+                    else:
+                        fv = flat.to_numpy(zero_copy_only=False)
                     if fv.dtype.kind in "iu":
                         fv = fv.astype(np.uint64)
                     elif fv.dtype.kind == "f":
@@ -1391,7 +1397,7 @@ def decode_store(store_dir: str, columns: list[str] | None = None,
                  predicate: tuple | None = None,
                  as_of: int | None = None,
                  block_ids: "set[str] | None" = None) -> ray.data.Dataset:
-    """Decode an encoded store back to a lazy Dataset (block-parallel).
+    """Decode an encoded store back to a Dataset (block-parallel).
 
     ``zone_filter`` prunes whole blocks using the footer's per-column
     min/max zone maps before any block is read — the engine's index
@@ -1401,22 +1407,63 @@ def decode_store(store_dir: str, columns: list[str] | None = None,
     range intersects [1000, inf); string columns compare lexically.
 
     ``predicate`` pushes a row filter ``(col, op, value)`` with op in
-    ``== != < <= > >= in`` into the decode itself (the reference's
-    WHERE-into-the-scan shape, howard/objects/variants.py:6290-6306):
-    first its implied min/max range prunes whole blocks via the footer,
-    then inside each surviving block only the predicate column is decoded,
-    the row mask is evaluated on it, and the remaining columns are decoded
-    ONLY when the mask matches at least one row (late materialization) —
-    a no-match block costs one column decode, not a full-table decode.
+    ``== != < <= > >= in contains``, or a list of them (a conjunction),
+    into the decode itself (the reference's WHERE-into-the-scan shape,
+    howard/objects/variants.py:6290-6306): its implied min/max range
+    prunes whole blocks via the footer, ``==``/``in``/``contains`` probe
+    each surviving block's Bloom sidecar (when indexed) on the driver,
+    then inside each remaining block only the predicate column is
+    decoded, the row mask is evaluated on it, and the remaining columns
+    are decoded ONLY when the mask matches at least one row (late
+    materialization) — a no-match block costs one column decode, not a
+    full-table decode.
+
+    The read is planned on the driver (:func:`_plan_read`). A plan of
+    exactly one block decodes in this process — Ray would run it as a
+    single task anyway, so nothing parallel is given up and a point
+    lookup skips the job's planning, scheduling and object-store round
+    trip; two or more blocks decode as one Ray task per block.
     """
-    # predicate may be ONE (col, op, val) tuple or a LIST of them — a
-    # conjunction evaluated inside the scan with progressive decoding:
-    # each predicate column decodes in turn, masks AND together, and the
-    # remaining predicate/payload columns are skipped the moment the mask
-    # empties (multi-column late materialization)
     preds: list[tuple] = ([predicate] if isinstance(predicate, tuple)
                           else list(predicate or []))
-    predicate = preds if preds else None
+    items, eff_columns, fills = _plan_read(store_dir, columns, zone_filter,
+                                           preds, as_of, block_ids)
+    if not items:
+        return _typed_empty(store_dir, eff_columns, as_of)
+    decode = functools.partial(_decode_items, store_dir, eff_columns, fills,
+                               preds)
+    run = _decode_in_driver if len(items) == 1 else _decode_with_ray
+    return run(items, decode)
+
+
+def _bloom_survivors(store_dir: str, blocks: list[dict],
+                     preds: list[tuple]) -> list[dict]:
+    """``blocks`` minus those a Bloom sidecar proves hold no row for some
+    ``==``/``in``/``contains`` predicate — one small sidecar read per
+    indexed block, on the driver, before any decode is planned."""
+    probes = [(c, list(v) if op == "in" else [v])
+              for c, op, v in preds if op in ("==", "in", "contains")]
+    if not probes:
+        return blocks
+    from .bloom import bloom_path, probe_file
+    return [b for b in blocks
+            if all(c not in (b.get("blooms") or {})
+                   or probe_file(bloom_path(store_dir, b["blooms"][c]), vals)
+                   for c, vals in probes)]
+
+
+def _plan_read(store_dir: str, columns: list[str] | None,
+               zone_filter: dict | None, preds: list[tuple],
+               as_of: int | None, block_ids: "set[str] | None"
+               ) -> tuple[list[dict], list[str] | None, dict | None]:
+    """Plan a :func:`decode_store` read on the driver from metadata alone.
+
+    Blocks are pruned in three stages: footer zone maps (the caller's
+    ``zone_filter`` plus each predicate's implied range), then the
+    explicit ``block_ids``/``as_of`` restriction, then the Bloom probes.
+    Returns one item per block left to decode, the columns each decode
+    emits (None: every logical column) and the typed-null fills for
+    columns some blocks predate."""
     zones = dict(zone_filter or {})
     for p in preds:
         if p[1] not in _PRED_OPS:
@@ -1440,13 +1487,7 @@ def decode_store(store_dir: str, columns: list[str] | None = None,
     # PREDICATE's column can match no row (NULL never satisfies ==/!=/
     # range/IN — the same SQL semantics the DuckDB oracle applies to the
     # union table), so it prunes at the driver for free
-    union_cols: list[str] = []
-    _seen: set = set()
-    for b in blocks:
-        for c in (b.get("columns") or {}):
-            if c not in _seen:
-                _seen.add(c)
-                union_cols.append(c)
+    union_cols = _union_columns(blocks)
     if preds:
         blocks = [b for b in blocks
                   if all(p[0] in (b.get("columns") or {}) for p in preds)]
@@ -1454,7 +1495,7 @@ def decode_store(store_dir: str, columns: list[str] | None = None,
     divergent = [c for c in want
                  if any(c not in (b.get("columns") or {}) for b in blocks)]
     # missing columns decode as TYPED nulls — the type comes from one
-    # header probe of a donor block, so every task emits the same schema
+    # header probe of a donor block, so every decode emits the same schema
     if divergent:
         try:
             fills = _column_type_hints(store_dir, blocks, divergent)
@@ -1468,156 +1509,150 @@ def decode_store(store_dir: str, columns: list[str] | None = None,
         fills = None
     eff_columns = (columns if (columns is not None or not divergent)
                    else union_cols)
-
+    # the schema above is fixed from the zone-surviving blocks, so a
+    # probabilistic Bloom prune can drop blocks but never change it
+    blocks = _bloom_survivors(store_dir, blocks, preds)
     # tombstoned blocks are flagged at plan time (one driver-side listdir);
-    # workers load only the tombstones they decode
+    # a decode loads only the tombstones of the blocks it reads
     tombs = list_tombstones(store_dir)
-    # point predicates consult the block's Bloom sidecar (when indexed)
-    # before decoding anything — definite-miss blocks cost one tiny read
-    bloom_cols = [p[0] for p in preds if p[1] in ("==", "in", "contains")]
-    paths = [{"path": block_path(store_dir, b["block_id"]),
-              "block_id": b["block_id"],
+    items = [{"block_id": b["block_id"],
               "rmap": json.dumps(_block_rmap(b)),
-              "bloom": json.dumps({c: f for c, f in
-                                   (b.get("blooms") or {}).items()
-                                   if c in bloom_cols})
-              if bloom_cols else "",
-              "tomb": b["block_id"] if b["block_id"] in tombs else ""}
+              "tomb": b["block_id"] in tombs}
              for b in blocks]
-    if not paths:
-        # all blocks pruned: return a TYPED empty dataset (schema from
-        # donor-header probes) so downstream to_pandas/write_parquet and
-        # concat keep working instead of seeing a schema-less empty
-        all_blocks = load_blocks(store_dir, as_of=as_of)
-        want_cols = eff_columns
-        if want_cols is None:
-            seen2: set = set()
-            want_cols = []
-            for b in all_blocks:
-                for c in (b.get("columns") or {}):
-                    if c not in seen2:
-                        seen2.add(c)
-                        want_cols.append(c)
-        if not all_blocks or not want_cols:
-            return ray.data.from_items([]).map_batches(lambda b: b)
-        th = _column_type_hints(store_dir, all_blocks, want_cols)
-        return ray.data.from_arrow(
-            pa.table({c: pa.nulls(0, th[c]) for c in want_cols}))
+    return items, eff_columns, fills
 
-    def decode_one(batch: pa.Table) -> list[pa.Table]:
-        out = []
-        for bid, rmap_j, tomb in zip(batch["block_id"], batch["rmap"],
-                                     batch["tomb"]):
-            t = _read_logical_block(store_dir, bid.as_py(),
-                                    json.loads(rmap_j.as_py()), eff_columns,
+
+def _union_columns(blocks: list[dict]) -> list[str]:
+    """Logical column names of ``blocks`` in first-seen footer order."""
+    seen: dict[str, None] = {}
+    for b in blocks:
+        seen.update(dict.fromkeys(b.get("columns") or {}))
+    return list(seen)
+
+
+def _typed_empty(store_dir: str, columns: list[str] | None,
+                 as_of: int | None) -> ray.data.Dataset:
+    """Every block pruned: a TYPED empty dataset (schema from donor-header
+    probes) so downstream to_pandas/write_parquet and concat keep working
+    instead of seeing a schema-less empty."""
+    all_blocks = load_blocks(store_dir, as_of=as_of)
+    want = columns if columns is not None else _union_columns(all_blocks)
+    if not all_blocks or not want:
+        return ray.data.from_items([]).map_batches(lambda b: b)
+    th = _column_type_hints(store_dir, all_blocks, want)
+    return ray.data.from_arrow(pa.table({c: pa.nulls(0, th[c]) for c in want}))
+
+
+def _decode_in_driver(items: list[dict], decode) -> ray.data.Dataset:
+    """A one-block plan: ``decode`` runs here, on the same one-row batch a
+    Ray task would get."""
+    out = decode(pa.Table.from_pylist(items))
+    if isinstance(out, pd.DataFrame):
+        return ray.data.from_pandas(out)
+    return ray.data.from_arrow(out)
+
+
+def _decode_with_ray(items: list[dict], decode) -> ray.data.Dataset:
+    """One Ray task per block: block-parallel decode."""
+    return ray.data.from_items(items, override_num_blocks=len(items)) \
+        .map_batches(decode, batch_size=1, batch_format="pyarrow")
+
+
+def _decode_items(store_dir: str, columns: list[str] | None,
+                  fills: dict | None, preds: list[tuple],
+                  batch: pa.Table) -> "pa.Table | pd.DataFrame":
+    """Decode a batch of planned blocks (:func:`_plan_read` items) to one
+    table of their live rows; with ``preds``, only the matching rows."""
+    tables = []
+    for bid, rmap_j, tomb in zip(batch["block_id"].to_pylist(),
+                                 batch["rmap"].to_pylist(),
+                                 batch["tomb"].to_pylist()):
+        rmap = json.loads(rmap_j)
+        if preds:
+            t = _decode_block_where(store_dir, bid, rmap, tomb, columns,
+                                    fills, preds)
+        else:
+            t = _read_logical_block(store_dir, bid, rmap, columns,
                                     fills=fills)
-            out.append(_live_rows(store_dir, tomb.as_py(), t)
-                       if tomb.as_py() else t)
-        return out
+            t = _live_rows(store_dir, bid, t) if tomb else t
+        if t is not None:
+            tables.append(t)
+    if tables and not tables[0].num_columns:
+        # no column asked for (COUNT(*)): Ray counts a zero-column Arrow
+        # block as empty, while a zero-column pandas frame keeps its rows
+        return pd.DataFrame(index=range(sum(t.num_rows for t in tables)))
+    return pa.concat_tables(tables) if tables else pa.table({})
 
-    def decode_pred(batch: pa.Table) -> list[pa.Table]:
-        import pyarrow.compute as pc
 
-        from .block import decode_block, read_block_meta
-        out = []
-        for p, bid_a, rmap_j, bloom_j, tomb in zip(
-                batch["path"], batch["block_id"], batch["rmap"],
-                batch["bloom"], batch["tomb"]):
-            bid, rmap = bid_a.as_py(), json.loads(rmap_j.as_py())
-            blooms = json.loads(bloom_j.as_py()) if bloom_j.as_py() else {}
-            if blooms:
-                from .bloom import bloom_path, probe_file
-                miss = False
-                for col, op, val in preds:
-                    if col in blooms and op in ("==", "in", "contains"):
-                        probe_vals = list(val) if op == "in" else [val]
-                        if not probe_file(
-                                bloom_path(store_dir, blooms[col]),
-                                probe_vals):
-                            miss = True
-                            break
-                if miss:
-                    continue  # definite miss: nothing decoded at all
-            ext = rmap.get("ext") or {}
-            ren = rmap.get("ren") or {}
-            inv = {v: k for k, v in ren.items()}
-            data = None
+def _decode_block_where(store_dir: str, bid: str, rmap: dict,
+                        tomb: bool, columns: list[str] | None,
+                        fills: dict | None,
+                        preds: list[tuple]) -> pa.Table | None:
+    """The rows of one block matching every predicate (a conjunction), or
+    None when none does. Progressive decoding: one predicate column
+    decodes at a time; the moment the combined mask empties, later
+    predicate columns AND the payload are never decoded (multi-column
+    late materialization)."""
+    import pyarrow.compute as pc
 
-            def _col(col: str):
-                nonlocal data
-                if col in ext:  # derived column: its own sidecar file
-                    return read_block_file(
-                        os.path.join(store_dir, "blocks",
-                                     ext[col])).column(0)
-                if data is None:
-                    with sio.sopen(p.as_py(), "rb") as f:
-                        data = f.read()
-                # predicates name LOGICAL columns; decode the in-file name
-                return decode_block(data, [inv.get(col, col)]).column(0)
+    from .block import read_block_meta
+    ext = rmap.get("ext") or {}
+    ren = rmap.get("ren") or {}
+    inv = {v: k for k, v in ren.items()}
+    path = block_path(store_dir, bid)
+    data = None
 
-            # progressive conjunction: decode one predicate column at a
-            # time; the moment the combined mask empties, later predicate
-            # columns AND the payload are never decoded
-            mask = None
-            decoded_cols: dict[str, pa.ChunkedArray] = {}
-            n_rows = None
-            empty = False
-            for col, op, val in preds:
-                filt_col = decoded_cols.get(col)
-                if filt_col is None:
-                    filt_col = _col(col)
-                    decoded_cols[col] = filt_col
-                    n_rows = len(filt_col)
-                m = _pred_mask(filt_col, op, val)
-                mask = m if mask is None else pc.and_(mask, m)
-                if (pc.sum(mask.cast(pa.int8())).as_py() or 0) == 0:
-                    empty = True
-                    break
-            if empty:
-                continue
-            keep = (_keep_mask(store_dir, bid, n_rows) if tomb.as_py()
-                    else None)
-            if keep is not None:
-                mask = pc.and_(mask, pa.array(keep))
-            n_match = pc.sum(mask.cast(pa.int8())).as_py() or 0
-            if n_match == 0:
-                continue  # late-materialization win: rest never decoded
-            if eff_columns is not None:
-                names = eff_columns
-            else:
-                if data is None:
-                    with sio.sopen(p.as_py(), "rb") as f:
-                        data = f.read()
-                # full logical schema: base columns (renamed, minus dropped)
-                # then every derived sidecar column
-                drops = set(rmap.get("drop") or ())
-                names = [ren.get(c, c)
-                         for c in read_block_meta(data)["columns"]
-                         if c not in drops] + list(ext)
-            rest = [c for c in names if c not in decoded_cols]
-            if rest or not names:  # no names: a zero-column row count
-                t = _read_logical_block(store_dir, bid, rmap, rest,
-                                        fills=fills)
-                for col in names:
-                    if col in decoded_cols:
-                        t = t.append_column(col, decoded_cols[col])
-            else:  # every requested column was already predicate-decoded
-                t = pa.table({c: decoded_cols[c] for c in names})
-            t = t.select(names)  # caller's column order
-            out.append(t.filter(mask) if n_match < n_rows else t)
-        return out
+    def _col(col: str):
+        nonlocal data
+        if col in ext:  # derived column: its own sidecar file
+            return read_block_file(
+                os.path.join(store_dir, "blocks", ext[col])).column(0)
+        if data is None:
+            with sio.sopen(path, "rb") as f:
+                data = f.read()
+        # predicates name LOGICAL columns; decode the in-file name
+        return decode_block(data, [inv.get(col, col)]).column(0)
 
-    def decode_flat(batch: pa.Table) -> pa.Table:
-        tables = decode_pred(batch) if predicate is not None else decode_one(batch)
-        if tables and not tables[0].num_columns:
-            # no column asked for (COUNT(*)): Ray counts a zero-column Arrow
-            # block as empty, while a zero-column pandas frame keeps its rows
-            return pd.DataFrame(index=range(sum(t.num_rows for t in tables)))
-        return pa.concat_tables(tables) if tables else pa.table({})
-
-    # one input block per encoded block file → block-parallel decode tasks
-    return ray.data.from_items(paths, override_num_blocks=max(1, len(paths))) \
-        .map_batches(decode_flat, batch_size=1, batch_format="pyarrow")
+    mask = None
+    decoded_cols: dict[str, pa.ChunkedArray] = {}
+    n_rows = None
+    for col, op, val in preds:
+        filt_col = decoded_cols.get(col)
+        if filt_col is None:
+            filt_col = _col(col)
+            decoded_cols[col] = filt_col
+            n_rows = len(filt_col)
+        m = _pred_mask(filt_col, op, val)
+        mask = m if mask is None else pc.and_(mask, m)
+        if (pc.sum(mask.cast(pa.int8())).as_py() or 0) == 0:
+            return None
+    keep = _keep_mask(store_dir, bid, n_rows) if tomb else None
+    if keep is not None:
+        mask = pc.and_(mask, pa.array(keep))
+    n_match = pc.sum(mask.cast(pa.int8())).as_py() or 0
+    if n_match == 0:
+        return None  # late-materialization win: rest never decoded
+    if columns is not None:
+        names = columns
+    else:
+        if data is None:
+            with sio.sopen(path, "rb") as f:
+                data = f.read()
+        # full logical schema: base columns (renamed, minus dropped) then
+        # every derived sidecar column
+        drops = set(rmap.get("drop") or ())
+        names = [ren.get(c, c) for c in read_block_meta(data)["columns"]
+                 if c not in drops] + list(ext)
+    rest = [c for c in names if c not in decoded_cols]
+    if rest or not names:  # no names: a zero-column row count
+        t = _read_logical_block(store_dir, bid, rmap, rest, fills=fills)
+        for col in names:
+            if col in decoded_cols:
+                t = t.append_column(col, decoded_cols[col])
+    else:  # every requested column was already predicate-decoded
+        t = pa.table({c: decoded_cols[c] for c in names})
+    t = t.select(names)  # caller's column order
+    return t.filter(mask) if n_match < n_rows else t
 
 
 def read_changes(store_dir: str, since_snapshot: int,
@@ -2078,11 +2113,12 @@ def export_sorted(store_dir: str, by: str, out_dir: str, *,
         cur_hi = stats[i]["max"]
     sio.makedirs(out_dir)
     tombs = list_tombstones(store_dir)
-    # honor the caller's column selection VERBATIM: the store is already
-    # clustered on `by` (asserted above), so the sort column is not
-    # needed internally — injecting it (and alphabetizing) would hand
-    # positional downstream readers an unrequested schema
+    # honor the caller's column selection VERBATIM: the local sort needs
+    # `by`, so it is decoded when not asked for and dropped after the
+    # sort — injecting it would hand positional downstream readers an
+    # unrequested schema
     cols = list(columns) if columns is not None else None
+    read_cols = cols if cols is None or by in cols else cols + [by]
     items = [{"rank": r, "block_id": blocks[i]["block_id"],
               "rmap": json.dumps(_block_rmap(blocks[i])),
               "tomb": blocks[i]["block_id"] in tombs}
@@ -2095,10 +2131,12 @@ def export_sorted(store_dir: str, by: str, out_dir: str, *,
                 batch["rank"], batch["block_id"], batch["rmap"],
                 batch["tomb"]):
             t = _read_logical_block(store_dir, bid_a.as_py(),
-                                    json.loads(rmap_a.as_py()), cols)
+                                    json.loads(rmap_a.as_py()), read_cols)
             if tomb_a.as_py():
                 t = _live_rows(store_dir, bid_a.as_py(), t)
             t = t.sort_by(by)
+            if read_cols is not cols:
+                t = t.select(cols)
             path = os.path.join(out_dir,
                                 f"part-{rank_a.as_py():05d}.parquet")
             lp = sio.local_path(path)

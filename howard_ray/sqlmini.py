@@ -1444,13 +1444,16 @@ def _count_distinct(ds, group: list[str], col: str) -> pd.DataFrame:
 
 
 def _like_mask(s, pattern: str, negate: bool = False):
-    """SQL LIKE over a pandas string Series (%/_ wildcards, anchored)."""
-    import re as _re
-    rx = "^" + "".join(
-        ".*" if ch == "%" else "." if ch == "_" else _re.escape(ch)
-        for ch in str(pattern)) + "$"
-    m = s.astype("string").str.match(rx, na=False)
-    return ~m if negate else m
+    """SQL LIKE over a pandas string Series (%/_ wildcards, anchored).
+    The whole value must match and the wildcards match newlines too, as
+    in SQL (``^…$`` with ``str.match`` would also accept a trailing
+    newline the pattern does not have)."""
+    rx = "".join(
+        ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
+        for ch in str(pattern))
+    m = s.astype("string").str.fullmatch(rx, flags=re.DOTALL, na=False)
+    # NULL [NOT] LIKE is NULL: a NULL value passes neither filter
+    return (~m & s.notna()) if negate else m
 
 
 _HAVING_OPS = {

@@ -199,3 +199,201 @@ def test_bloom_nullable_bigint_no_false_negative():
     f = build_filter(pa.array([2**53 + 1, 5, None], type=pa.int64()))
     assert maybe_contains(f, [2**53 + 1])
     assert maybe_contains(f, [5])
+
+
+# ---- driver-side read plan: Bloom probes at plan time, one-block plans
+# ---- decoded in the driver process
+
+def _plan_size(st, predicate: tuple) -> int:
+    """Blocks a ``decode_store(st, predicate=...)`` read plans to decode."""
+    import howard_ray.pipeline as hp
+    return len(hp._plan_read(st, None, None, [predicate], None, None)[0])
+
+
+def _one_block_key(st, keys):
+    """The first key whose ``doc_id ==`` read plans exactly one block."""
+    return next(k for k in keys if _plan_size(st, ("doc_id", "==", k)) == 1)
+
+
+def _result(ds):
+    """(row count, schema, rows of the non-empty blocks) of a Dataset."""
+    import ray
+    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
+    return (ds.count(), ds.schema(),
+            pa.concat_tables(tables) if tables else None)
+
+
+def _both_dispatches(monkeypatch, st, **kw):
+    """One read decoded in the driver and the same plan run as a Ray task
+    per block; asserts the driver path was taken, returns both results."""
+    import howard_ray.pipeline as hp
+    sizes = []
+    in_driver = hp._decode_in_driver
+
+    def spy(items, decode):
+        sizes.append(len(items))
+        return in_driver(items, decode)
+
+    with monkeypatch.context() as m:
+        m.setattr(hp, "_decode_in_driver", spy)
+        local = _result(decode_store(st, **kw))
+        m.setattr(hp, "_decode_in_driver", hp._decode_with_ray)
+        remote = _result(decode_store(st, **kw))
+    assert sizes == [1]
+    return local, remote
+
+
+def _assert_same_result(a, b):
+    assert a[0] == b[0]
+    assert (a[1] is None) == (b[1] is None)
+    if a[1] is not None:
+        assert a[1].base_schema == b[1].base_schema
+    assert (a[2] is None) == (b[2] is None)
+    if a[2] is not None:
+        assert a[2].schema == b[2].schema
+        assert a[2].equals(b[2])
+
+
+def _false_positive_key(st, ids):
+    """An absent doc_id that exactly one block admits: inside its zone map
+    and a false positive of its Bloom filter."""
+    blocks = load_footer(st)["blocks"]
+    for k in (f"{i}!" for i in ids):
+        hits = 0
+        for b in blocks:
+            zone = b["columns"]["doc_id"]["stats"]
+            hits += (zone["min"] <= k <= zone["max"] and probe_file(
+                bloom_path(st, b["blooms"]["doc_id"]), [k]))
+        if hits == 1:
+            return k
+    raise AssertionError("no single-block false positive found")
+
+
+def test_one_block_plan_matches_ray_dispatch(store, monkeypatch, tmp_path):
+    """Every one-block read returns the same table and Arrow schema whether
+    it is decoded in the driver or as a Ray task."""
+    from howard_ray.manifest import list_tombstones
+    from howard_ray.pipeline import (append_to_store, delete_where,
+                                     derive_column)
+    src, st = store
+    build_bloom_index(st, "doc_id")
+    full = pq.read_table(src)
+    ids = full["doc_id"].to_pylist()
+    s0 = load_footer(st)["snapshot_id"]
+
+    # a lookup hit
+    key = _one_block_key(st, ids[::37])
+    local, remote = _both_dispatches(monkeypatch, st,
+                                     predicate=("doc_id", "==", key))
+    assert local[0] == 1 and local[2]["doc_id"].to_pylist() == [key]
+    _assert_same_result(local, remote)
+
+    # a Bloom false positive: one block planned, no row matches
+    fp = _false_positive_key(st, ids)
+    local, remote = _both_dispatches(monkeypatch, st,
+                                     predicate=("doc_id", "==", fp))
+    assert local[0] == 0
+    _assert_same_result(local, remote)
+
+    # an absent key every filter rejects: no block planned, and the empty
+    # result still carries the store's typed schema
+    assert _plan_size(st, ("doc_id", "==", "no-such-doc!")) == 0
+    empty = decode_store(st, predicate=("doc_id", "==", "no-such-doc!"))
+    assert empty.count() == 0
+    assert empty.schema().base_schema == full.schema.remove_metadata()
+
+    # tombstoned blocks: a live row, a deleted row, and COUNT(*)
+    delete_where(st, ("n_tok", "<", 100))
+    live = full.filter(pc.greater_equal(full["n_tok"], 100))["doc_id"]
+    dead = full.filter(pc.less(full["n_tok"], 100))["doc_id"]
+    assert list_tombstones(st)
+    for k in (_one_block_key(st, live.to_pylist()[::41]),
+              _one_block_key(st, dead.to_pylist()[::41])):
+        _assert_same_result(*_both_dispatches(
+            monkeypatch, st, predicate=("doc_id", "==", k)))
+        local, remote = _both_dispatches(
+            monkeypatch, st, columns=[], predicate=("doc_id", "==", k))
+        assert local[0] == remote[0] == (1 if k in live.to_pylist() else 0)
+
+    # as_of: the snapshot before the delete (tombstones still pierce it)
+    _assert_same_result(*_both_dispatches(
+        monkeypatch, st, as_of=s0, predicate=("doc_id", "==", key)))
+
+    # renamed and derived columns
+    derive_column(st, "tok_bucket", lambda t: pc.divide(
+        pc.cast(t["n_tok"], pa.int64()), 64), ["n_tok"])
+    alter_store(st, rename={"n_tok": "token_count"})
+    for cols in (None, ["tok_bucket", "doc_id", "token_count"]):
+        local, remote = _both_dispatches(
+            monkeypatch, st, columns=cols, predicate=("doc_id", "==", key))
+        assert {"tok_bucket", "token_count"} <= set(local[2].column_names)
+        _assert_same_result(local, remote)
+
+    # mixed epochs: a delivery with a new column, its ids inside the old
+    # blocks' zone ranges; an old block's row reads it as typed nulls
+    d2 = full.slice(0, 200)
+    d2 = d2.set_column(d2.schema.get_field_index("doc_id"), "doc_id",
+                       pc.binary_join_element_wise(d2["doc_id"], "~new", ""))
+    d2 = d2.rename_columns(["token_count" if c == "n_tok" else c
+                            for c in d2.column_names])
+    d2 = d2.append_column("lang", pa.array(["en"] * d2.num_rows))
+    pq.write_table(d2, str(tmp_path / "d2.parquet"))
+    append_to_store(st, str(tmp_path / "d2.parquet"), target_rows=300)
+    build_bloom_index(st, "doc_id")
+    for k, lang in ((_one_block_key(st, ids[50:150:7]), None),
+                    (_one_block_key(st, d2["doc_id"].to_pylist()[::13]), "en")):
+        local, remote = _both_dispatches(monkeypatch, st,
+                                         predicate=("doc_id", "==", k))
+        assert local[2].schema.field("lang").type == pa.string()
+        assert local[2]["lang"].to_pylist() == [lang]
+        _assert_same_result(local, remote)
+
+
+def test_bloom_pruned_lookup_launches_no_ray_job(store, monkeypatch):
+    """A lookup the Bloom probes cut to one block never plans a Ray Data
+    job: it answers with ``ray.data.from_items`` unavailable."""
+    import ray.data
+    src, st = store
+    build_bloom_index(st, "doc_id")
+    ids = pq.read_table(src)["doc_id"].to_pylist()
+    key = _one_block_key(st, ids[::53])
+    assert _plan_size(st, ("doc_id", "in", [key])) == 1
+
+    def no_job(*a, **k):
+        raise AssertionError("a Ray Data job was planned")
+
+    monkeypatch.setattr(ray.data, "from_items", no_job)
+    got = _decoded(st, predicate=("doc_id", "==", key))
+    assert got["doc_id"].to_pylist() == [key]
+
+
+def test_block_decode_opens_no_bloom_file(store, monkeypatch):
+    """Bloom probes happen only while planning: decoding the planned blocks
+    opens no ``blooms/`` file."""
+    import howard_ray.bloom as hbloom
+    import howard_ray.pipeline as hp
+    import howard_ray.storeio as sio
+    src, st = store
+    build_bloom_index(st, "doc_id")
+    full = pq.read_table(src)
+    keys = full["doc_id"].to_pylist()[::250]
+    preds = [("doc_id", "in", keys)]
+    items, cols, fills = hp._plan_read(st, None, None, preds, None, None)
+    assert len(items) > 1
+
+    opened = []
+    real_open = sio.sopen
+
+    def spy_open(path, *a, **k):
+        opened.append(str(path))
+        return real_open(path, *a, **k)
+
+    def no_probe(*a, **k):
+        raise AssertionError("Bloom probe during decode")
+
+    monkeypatch.setattr(sio, "sopen", spy_open)
+    monkeypatch.setattr(hbloom, "probe_file", no_probe)
+    monkeypatch.setattr(hbloom, "maybe_contains", no_probe)
+    out = hp._decode_items(st, cols, fills, preds, pa.Table.from_pylist(items))
+    assert opened and not any("blooms" in p for p in opened)
+    assert sorted(out["doc_id"].to_pylist()) == sorted(keys)

@@ -17,6 +17,7 @@ import pytest
 from howard_ray.fixtures import make_tokens_corpus, write_corpus
 from howard_ray.manifest import load_footer, load_manifest
 from howard_ray.pipeline import (
+    _batch_mix,
     decode_store,
     encode_dataset,
     stable_hash_u64,
@@ -119,6 +120,21 @@ def test_stable_hash_deterministic():
     h2 = stable_hash_u64(pa.array(["a", "b", "c"]))
     assert list(h1) == list(h2)
     assert h1.dtype == np.uint64
+
+
+def test_batch_mix_hashes_nested_string_values():
+    """Nested string columns mix their element values, not only their
+    lengths; the corpus schema (list<int32> tokens) keeps its hash, so
+    existing block ids do not change."""
+    assert _batch_mix(pa.table({"x": [["ab", "c"]]})) != \
+        _batch_mix(pa.table({"x": [["zz", "q"]]}))
+    assert _batch_mix(pa.table({"x": [["ab", None]]})) != \
+        _batch_mix(pa.table({"x": [["ab", "c"]]}))
+    corpus = pa.table({
+        "doc_id": ["d1", "d2", "d3"], "source": ["web", "code", None],
+        "tokens": pa.array([[1, 2, 3], [4], []], pa.list_(pa.int32())),
+        "n_tok": pa.array([3, 1, 0], pa.int32())})
+    assert _batch_mix(corpus) == (15034285739795301248, "d1")
 
 
 def test_edge_corpus_roundtrip(ray_session, tmp_path):

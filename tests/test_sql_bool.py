@@ -214,6 +214,25 @@ def test_is_null_over_nullable_parquet(ray_session, tmp_path):
         pd.testing.assert_frame_equal(mine, exp, check_dtype=False)
 
 
+def test_having_like_matches_duckdb_across_newlines(ray_session, tmp_path):
+    """LIKE matches the whole value, and % and _ match a newline, as in
+    DuckDB (a trailing newline the pattern lacks does not match)."""
+    import pandas as pd
+    df = pd.DataFrame({"s": ["abc\n", "a\nc", "abc", "ab", "x\nabc", None],
+                       "v": [1, 2, 3, 4, 5, 6]})
+    df.to_parquet(str(tmp_path / "t.parquet"))
+    for pat in ("abc", "a%c", "a_c", "%c", "a%", "%b%", "_bc_"):
+        for op in ("LIKE", "NOT LIKE"):
+            sql = (f"SELECT s, SUM(v) AS n FROM t GROUP BY s "
+                   f"HAVING s {op} '{pat}' ORDER BY s")
+            mine = run_sql(str(tmp_path), sql).reset_index(drop=True)
+            exp = duckdb.sql(
+                sql.replace("FROM t", f"FROM '{tmp_path}/t.parquet'")) \
+                .df().reset_index(drop=True)
+            pd.testing.assert_frame_equal(mine, exp, check_dtype=False,
+                                          obj=sql)
+
+
 def test_select_distinct_matches_duckdb(ray_session):
     import pandas as pd
     sql = ("SELECT DISTINCT lang, source FROM documents "

@@ -538,6 +538,33 @@ def test_export_sorted(ray_session, tmp_path):
         export_sorted(st2, "n_tok", str(tmp_path / "x"))
 
 
+def test_export_sorted_without_sort_column(ray_session, tmp_path):
+    """``by`` outside ``columns``: the key is decoded for the local sort
+    and dropped, so every shard holds exactly the requested columns, in
+    global key order."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from howard_ray.pipeline import export_sorted, recluster_store
+
+    src = str(tmp_path / "c.parquet")
+    write_corpus(src, 3000, seed=32)
+    st = str(tmp_path / "st")
+    encode_dataset(src, st, mode="cluster", target_rows=500)
+    recluster_store(st, "n_tok", target_rows=500)
+
+    out = str(tmp_path / "sorted")
+    r = export_sorted(st, "n_tok", out, columns=["doc_id", "source"])
+    parts = sorted(f for f in os.listdir(out) if f.endswith(".parquet"))
+    got = pa.concat_tables(pq.read_table(os.path.join(out, f))
+                           for f in parts)
+    assert got.column_names == ["doc_id", "source"]
+    assert r["rows"] == got.num_rows == 3000
+    t = pq.read_table(src)
+    n_tok = dict(zip(t["doc_id"].to_pylist(), t["n_tok"].to_pylist()))
+    assert (np.diff([n_tok[d] for d in got["doc_id"].to_pylist()]) >= 0).all()
+
+
 def test_ann_scale_derived_knobs_and_bucket_bounds(ray_session):
     """Round-3: nlist/planes derive from corpus size, and per-bucket task
     sizes stay bounded by the salting discipline at sf0.1."""
