@@ -27,13 +27,6 @@ LSH_BANDS = 16         # 16 bands x 4 rows
 JACCARD_THRESHOLD = 0.6
 
 
-def ray_from_items(items: list[dict]):
-    """from_items with one block per item, so map_batches schedules one
-    task per item (the task-grid distribution axis for block-pair work)."""
-    import ray
-    return ray.data.from_items(items, override_num_blocks=len(items))
-
-
 def dedup_exact(sf_dir: str, n_buckets: int | None = None):
     """Exact dedup: vectorized content hash per batch → ONE grouped shuffle
     on ``hash % n_buckets`` (all rows of a text land in one bucket) → per-
@@ -823,7 +816,9 @@ def dedup_embedding(sf_dir: str, n_chunks: int = 8):
                                 dtype="float64"),
         })
 
-    out = (ray_from_items(pair_items)
+    # one block per chunk pair: map_batches runs one task per pair
+    out = (_ray.data.from_items(pair_items,
+                                override_num_blocks=len(pair_items))
            .map_batches(score_pair, batch_format="pyarrow")
            .to_pandas())
     if out.empty:

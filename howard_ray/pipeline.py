@@ -172,6 +172,31 @@ def _records_table(records: list[dict]) -> pa.Table:
                                         type=pa.string())})
 
 
+def _collect_records(ds: ray.data.Dataset) -> list[dict]:
+    """Every record of a stage whose batches are :func:`_records_table`s."""
+    return [json.loads(r["record"]) for r in ds.take_all()]
+
+
+def _block_tasks(items: list[dict], fn, batch_size: int) -> ray.data.Dataset:
+    """The one per-block dispatch: one Ray task per ``batch_size`` items.
+    Each item dict travels JSON-encoded in a single column (a nested read
+    map would otherwise become an Arrow struct); ``fn`` gets the decoded
+    list of item dicts and returns an Arrow table or a pandas frame."""
+    def run(batch: pa.Table):
+        return fn([json.loads(s) for s in batch["item"].to_pylist()])
+    return ray.data.from_items([{"item": json.dumps(it)} for it in items],
+                               override_num_blocks=max(1, len(items))) \
+        .map_batches(run, batch_size=batch_size, batch_format="pyarrow")
+
+
+def _map_blocks(items: list[dict], per_item, batch_size: int) -> list[dict]:
+    """Run ``per_item(item) -> list[dict]`` over ``items`` as
+    :func:`_block_tasks` and return every record they produced."""
+    return _collect_records(_block_tasks(
+        items, lambda its: _records_table(
+            [r for it in its for r in per_item(it)]), batch_size))
+
+
 def _batch_mix(batch: pa.Table) -> tuple[int, str]:
     """Order-sensitive content hash of a batch + its first scalar value —
     the deterministic block-id ingredient shared by the stream encoder
@@ -699,7 +724,7 @@ def encode_dataset(
         raise ValueError(f"unknown mode {mode}")
 
     try:
-        records = [json.loads(r["record"]) for r in rec_ds.take_all()]
+        records = _collect_records(rec_ds)
     finally:
         ctx.target_max_block_size = prev_block_size
         if prev_push is not None:
@@ -891,48 +916,35 @@ def derive_column(store_dir: str, name: str, fn,
     todo = [b for b in blocks if name not in (b.get("ext_files") or {})]
     if not todo:
         return {"n_blocks_derived": 0, "ext_bytes": 0}
-    items = [{"block_id": b["block_id"],
-              "rmap": json.dumps(_block_rmap(b))} for b in todo]
+    items = [{"block_id": b["block_id"], "rmap": _block_rmap(b)}
+             for b in todo]
     fn_ref = ray.put(fn)
 
-    def derive(batch: pa.Table) -> pa.Table:
-        f = _cached_get(fn_ref)
-        recs = []
-        for bid_a, rmap_a in zip(batch["block_id"], batch["rmap"]):
-            bid = bid_a.as_py()
-            t_in = _read_logical_block(store_dir, bid,
-                                       json.loads(rmap_a.as_py()),
-                                       input_columns)
-            arr = f(t_in)
-            if not isinstance(arr, (pa.Array, pa.ChunkedArray)):
-                arr = pa.array(arr)
-            if len(arr) != t_in.num_rows:
-                raise ValueError(
-                    f"derive fn returned {len(arr)} values for "
-                    f"{t_in.num_rows}-row block {bid}")
-            col_tbl = pa.table({name: arr})
-            fname = _ext_file_name(bid, name)
-            file_bytes, meta = encode_block(
-                col_tbl, f"{bid}.c_{name}",
-                zstd_level=ENCODE_PROFILES[profile]["zstd_level"])
-            write_block_file(os.path.join(store_dir, "blocks", fname),
-                             file_bytes)
-            e = meta["columns"][name]
-            recs.append({
-                "block_id": bid,
-                "file": fname,
-                "ext_bytes": len(file_bytes),
-                "codec": e.get("meta", e.get("val_meta", {})).get(
-                    "codec", e["kind"]),
-                "stats": e.get("stats", {}),
-            })
-        return _records_table(recs)
+    def derive(item: dict) -> list[dict]:
+        bid = item["block_id"]
+        t_in = _read_logical_block(store_dir, bid, item["rmap"],
+                                   input_columns)
+        arr = _cached_get(fn_ref)(t_in)
+        if not isinstance(arr, (pa.Array, pa.ChunkedArray)):
+            arr = pa.array(arr)
+        if len(arr) != t_in.num_rows:
+            raise ValueError(
+                f"derive fn returned {len(arr)} values for "
+                f"{t_in.num_rows}-row block {bid}")
+        fname = _ext_file_name(bid, name)
+        file_bytes, meta = encode_block(
+            pa.table({name: arr}), f"{bid}.c_{name}",
+            zstd_level=ENCODE_PROFILES[profile]["zstd_level"])
+        write_block_file(os.path.join(store_dir, "blocks", fname),
+                         file_bytes)
+        e = meta["columns"][name]
+        return [{"block_id": bid, "file": fname,
+                 "ext_bytes": len(file_bytes),
+                 "codec": e.get("meta", e.get("val_meta", {})).get(
+                     "codec", e["kind"]),
+                 "stats": e.get("stats", {})}]
 
-    rec_ds = ray.data.from_items(items,
-                                 override_num_blocks=max(1, len(items))) \
-        .map_batches(derive, batch_size=4, batch_format="pyarrow")
-    new = {r["block_id"]: r for r in
-           (json.loads(x) for x in rec_ds.to_pandas()["record"].tolist())}
+    new = {r["block_id"]: r for r in _map_blocks(items, derive, 4)}
 
     ext_bytes = 0
     # the records may be SHARED with manifest's parsed-shard cache; clear
@@ -982,27 +994,19 @@ def build_bloom_index(store_dir: str, column: str,
     if not todo:
         return {"n_blocks_indexed": 0, "bloom_bytes": 0}
     sio.makedirs(os.path.join(store_dir, "blooms"))
-    items = [{"block_id": b["block_id"],
-              "rmap": json.dumps(_block_rmap(b))} for b in todo]
+    items = [{"block_id": b["block_id"], "rmap": _block_rmap(b)}
+             for b in todo]
 
-    def build(batch: pa.Table) -> pa.Table:
-        recs = []
-        for bid_a, rmap_a in zip(batch["block_id"], batch["rmap"]):
-            bid = bid_a.as_py()
-            col = _read_logical_block(store_dir, bid,
-                                      json.loads(rmap_a.as_py()),
-                                      [column])[column]
-            data = build_filter(col, bits_per_key=bits_per_key)
-            fname = bloom_file_name(bid, column)
-            write_block_file(bloom_path(store_dir, fname), data)
-            recs.append({"block_id": bid, "file": fname, "bytes": len(data)})
-        return _records_table(recs)
+    def build(item: dict) -> list[dict]:
+        bid = item["block_id"]
+        col = _read_logical_block(store_dir, bid, item["rmap"],
+                                  [column])[column]
+        data = build_filter(col, bits_per_key=bits_per_key)
+        fname = bloom_file_name(bid, column)
+        write_block_file(bloom_path(store_dir, fname), data)
+        return [{"block_id": bid, "file": fname, "bytes": len(data)}]
 
-    rec_ds = ray.data.from_items(items,
-                                 override_num_blocks=max(1, len(items))) \
-        .map_batches(build, batch_size=8, batch_format="pyarrow")
-    new = {r["block_id"]: r for r in
-           (json.loads(x) for x in rec_ds.to_pandas()["record"].tolist())}
+    new = {r["block_id"]: r for r in _map_blocks(items, build, 8)}
     total = 0
     from .manifest import footer_cache_clear
     footer_cache_clear()  # records may be shared with the shard cache
@@ -1189,59 +1193,55 @@ def scrub_store(store_dir: str, deep: bool = True) -> dict:
     """Distributed integrity audit — the maintenance job a 100-TB store
     runs on a schedule. Per block (one Ray task batch per group): the block
     file must exist with the footer-recorded size; ``deep=True``
-    additionally DECODES every column of the block, its derived sidecars
-    and its Bloom sidecars (every payload is crc32-verified by the codecs)
-    and checks the decoded row count against the footer. Returns totals
-    plus the ids and reasons of every damaged block — the repair playbook
-    is re-encode from lineage (each record names its input file + row
-    range) or restore the file and re-run."""
-    from .bloom import bloom_path
+    additionally checks the whole file against the footer's crc32 (the
+    only check covering the block's meta JSON, whose codec parameters
+    decode wrong values without error when damaged), DECODES every column
+    of the block, its derived sidecars and its Bloom sidecars (every
+    payload is crc32-verified by the codecs) and checks the decoded row
+    count against the footer. Returns totals plus the ids and reasons of
+    every damaged block — the repair playbook is re-encode from lineage
+    (each record names its input file + row range) or restore the file
+    and re-run."""
+    from .bloom import bloom_path, probe_file
 
     footer = load_footer(store_dir)
     blocks = load_blocks(store_dir, footer=footer)
-    items = [{"block_id": b["block_id"],
-              "rmap": json.dumps(_block_rmap(b)),
-              "blooms": json.dumps(b.get("blooms") or {}),
-              "n_rows": b["n_rows"],
-              "encoded_bytes": b["encoded_bytes"]} for b in blocks]
+    items = [{"block_id": b["block_id"], "rmap": _block_rmap(b),
+              "blooms": b.get("blooms") or {}, "n_rows": b["n_rows"],
+              "encoded_bytes": b["encoded_bytes"], "crc32": b.get("crc32")}
+             for b in blocks]
     if not items:
         return {"n_blocks": 0, "n_ok": 0, "damaged": []}
 
-    def check(batch: pa.Table) -> pa.Table:
-        recs = []
-        for bid_a, rmap_j, blooms_j, nr_a, eb_a in zip(
-                batch["block_id"], batch["rmap"], batch["blooms"],
-                batch["n_rows"], batch["encoded_bytes"]):
-            bid, n_rows = bid_a.as_py(), nr_a.as_py()
-            errs = []
-            path = block_path(store_dir, bid)
+    def check(item: dict) -> list[dict]:
+        bid, n_rows = item["block_id"], item["n_rows"]
+        errs = []
+        path = block_path(store_dir, bid)
+        try:
+            if sio.getsize(path) != item["encoded_bytes"]:
+                errs.append("size mismatch vs footer")
+        except OSError:
+            errs.append("block file missing")
+        if deep and not errs:
+            if item["crc32"] is not None:
+                with sio.sopen(path, "rb") as f:
+                    if zlib.crc32(f.read()) != item["crc32"]:
+                        errs.append("crc32 mismatch vs footer")
             try:
-                if sio.getsize(path) != eb_a.as_py():
-                    errs.append("size mismatch vs footer")
-            except OSError:
-                errs.append("block file missing")
-            if deep and not errs:
+                t = _read_logical_block(store_dir, bid, item["rmap"])
+                if t.num_rows != n_rows:
+                    errs.append(f"decoded {t.num_rows} rows, "
+                                f"footer says {n_rows}")
+            except Exception as e:  # crc/format damage surfaces here
+                errs.append(f"decode failed: {e}")
+            for col, fname in item["blooms"].items():
                 try:
-                    t = _read_logical_block(store_dir, bid,
-                                            json.loads(rmap_j.as_py()))
-                    if t.num_rows != n_rows:
-                        errs.append(f"decoded {t.num_rows} rows, "
-                                    f"footer says {n_rows}")
-                except Exception as e:  # crc/format damage surfaces here
-                    errs.append(f"decode failed: {e}")
-                for col, fname in json.loads(blooms_j.as_py()).items():
-                    try:
-                        from .bloom import probe_file
-                        probe_file(bloom_path(store_dir, fname), ["probe"])
-                    except Exception as e:
-                        errs.append(f"bloom[{col}] damaged: {e}")
-            recs.append({"block_id": bid, "errors": errs})
-        return _records_table(recs)
+                    probe_file(bloom_path(store_dir, fname), ["probe"])
+                except Exception as e:
+                    errs.append(f"bloom[{col}] damaged: {e}")
+        return [{"block_id": bid, "errors": errs}]
 
-    rec_ds = ray.data.from_items(items,
-                                 override_num_blocks=max(1, len(items))) \
-        .map_batches(check, batch_size=8, batch_format="pyarrow")
-    raw = [json.loads(r) for r in rec_ds.to_pandas()["record"].tolist()]
+    raw = _map_blocks(items, check, 8)
     damaged = [r for r in raw if r["errors"]]
     return {"n_blocks": len(raw), "n_ok": len(raw) - len(damaged),
             "deep": deep, "damaged": damaged}
@@ -1432,8 +1432,9 @@ def decode_store(store_dir: str, columns: list[str] | None = None,
         return _typed_empty(store_dir, eff_columns, as_of)
     decode = functools.partial(_decode_items, store_dir, eff_columns, fills,
                                preds)
-    run = _decode_in_driver if len(items) == 1 else _decode_with_ray
-    return run(items, decode)
+    if len(items) == 1:
+        return _decode_in_driver(items, decode)
+    return _block_tasks(items, decode, 1)
 
 
 def _bloom_survivors(store_dir: str, blocks: list[dict],
@@ -1515,10 +1516,8 @@ def _plan_read(store_dir: str, columns: list[str] | None,
     # tombstoned blocks are flagged at plan time (one driver-side listdir);
     # a decode loads only the tombstones of the blocks it reads
     tombs = list_tombstones(store_dir)
-    items = [{"block_id": b["block_id"],
-              "rmap": json.dumps(_block_rmap(b)),
-              "tomb": b["block_id"] in tombs}
-             for b in blocks]
+    items = [{"block_id": b["block_id"], "rmap": _block_rmap(b),
+              "tomb": b["block_id"] in tombs} for b in blocks]
     return items, eff_columns, fills
 
 
@@ -1544,30 +1543,22 @@ def _typed_empty(store_dir: str, columns: list[str] | None,
 
 
 def _decode_in_driver(items: list[dict], decode) -> ray.data.Dataset:
-    """A one-block plan: ``decode`` runs here, on the same one-row batch a
+    """A one-block plan: ``decode`` runs here, on the same one-item list a
     Ray task would get."""
-    out = decode(pa.Table.from_pylist(items))
+    out = decode(items)
     if isinstance(out, pd.DataFrame):
         return ray.data.from_pandas(out)
     return ray.data.from_arrow(out)
 
 
-def _decode_with_ray(items: list[dict], decode) -> ray.data.Dataset:
-    """One Ray task per block: block-parallel decode."""
-    return ray.data.from_items(items, override_num_blocks=len(items)) \
-        .map_batches(decode, batch_size=1, batch_format="pyarrow")
-
-
 def _decode_items(store_dir: str, columns: list[str] | None,
                   fills: dict | None, preds: list[tuple],
-                  batch: pa.Table) -> "pa.Table | pd.DataFrame":
-    """Decode a batch of planned blocks (:func:`_plan_read` items) to one
-    table of their live rows; with ``preds``, only the matching rows."""
+                  items: list[dict]) -> "pa.Table | pd.DataFrame":
+    """Decode planned blocks (:func:`_plan_read` items) to one table of
+    their live rows; with ``preds``, only the matching rows."""
     tables = []
-    for bid, rmap_j, tomb in zip(batch["block_id"].to_pylist(),
-                                 batch["rmap"].to_pylist(),
-                                 batch["tomb"].to_pylist()):
-        rmap = json.loads(rmap_j)
+    for it in items:
+        bid, rmap, tomb = it["block_id"], it["rmap"], it["tomb"]
         if preds:
             t = _decode_block_where(store_dir, bid, rmap, tomb, columns,
                                     fills, preds)
@@ -1790,60 +1781,46 @@ def compact_store(store_dir: str, *, target_rows: int | None = None,
                 "encoded_bytes_after": footer["encoded_bytes"],
                 "merged": 0, "created": 0}
 
-    items = [{"members": json.dumps(
-                  [[b["block_id"], _block_rmap(b)] for b in bin_]),
-              "sort_key": str(bin_[0].get("sort_key", ""))}
-             for bin_ in bins]
+    items = [{"members": [[b["block_id"], _block_rmap(b)] for b in bin_],
+              "sort_key": str(bin_[0].get("sort_key", ""))} for bin_ in bins]
 
-    def merge_bin(batch: pa.Table) -> pa.Table:
-        recs: list[dict] = []
-        for members_json, sort_key in zip(batch["members"].to_pylist(),
-                                          batch["sort_key"].to_pylist()):
-            members = json.loads(members_json)
-            member_ids = [m[0] for m in members]
-            tables = []
-            for bid, rmap in members:
-                # derived sidecars, renames and drops fold PHYSICALLY into
-                # the merged base block (metadata-only schema evolution is
-                # materialized by normal maintenance)
-                # deletes survive compaction: merged blocks are built from
-                # the LIVE rows only, and the members' tombstones die with
-                # the member files after the footer swap
-                tables.append(_live_rows(
-                    store_dir, bid, _read_logical_block(store_dir, bid, rmap)))
-            if len({tuple(t.schema.names) for t in tables}) > 1:
-                # mixed-epoch bin (schema evolution on append): normalize
-                # every member to the union schema with typed-null fills
-                # — pa.concat_tables inside _encode_tables_to_blocks
-                # rejects differing column sets/orders outright
-                order: list[str] = []
-                types: dict = {}
-                for t in tables:
-                    for f in t.schema:
-                        if f.name not in types:
-                            types[f.name] = f.type
-                            order.append(f.name)
-                tables = [pa.table({
-                    c: (t[c].cast(types[c]) if c in t.schema.names
-                        else pa.nulls(t.num_rows, types[c]))
-                    for c in order}) for t in tables]
-            # 128-bit id: at 10^7-block scale a 32-bit crc would collide
-            # (~birthday at 2^16 bins) and silently overwrite a merged block
-            import hashlib
-            digest = hashlib.blake2b('|'.join(member_ids).encode(),
-                                     digest_size=16).hexdigest()
-            key = f"cpt-{digest}"
-            recs.extend(_encode_tables_to_blocks(
-                tables, store_dir, key, sort_key=sort_key,
-                target_rows=target_rows, completed={},
-                input_info="compact:" + ",".join(member_ids),
-                profile=profile))
-        return _records_table(recs)
+    def merge_bin(item: dict) -> list[dict]:
+        member_ids = [bid for bid, _ in item["members"]]
+        # derived sidecars, renames and drops fold PHYSICALLY into the
+        # merged base block (metadata-only schema evolution is materialized
+        # by normal maintenance); deletes survive compaction: merged blocks
+        # are built from the LIVE rows only, and the members' tombstones die
+        # with the member files after the footer swap
+        tables = [_live_rows(store_dir, bid,
+                             _read_logical_block(store_dir, bid, rmap))
+                  for bid, rmap in item["members"]]
+        if len({tuple(t.schema.names) for t in tables}) > 1:
+            # mixed-epoch bin (schema evolution on append): normalize every
+            # member to the union schema with typed-null fills —
+            # pa.concat_tables inside _encode_tables_to_blocks rejects
+            # differing column sets/orders outright
+            order: list[str] = []
+            types: dict = {}
+            for t in tables:
+                for f in t.schema:
+                    if f.name not in types:
+                        types[f.name] = f.type
+                        order.append(f.name)
+            tables = [pa.table({
+                c: (t[c].cast(types[c]) if c in t.schema.names
+                    else pa.nulls(t.num_rows, types[c]))
+                for c in order}) for t in tables]
+        # 128-bit id: at 10^7-block scale a 32-bit crc would collide
+        # (~birthday at 2^16 bins) and silently overwrite a merged block
+        import hashlib
+        digest = hashlib.blake2b('|'.join(member_ids).encode(),
+                                 digest_size=16).hexdigest()
+        return _encode_tables_to_blocks(
+            tables, store_dir, f"cpt-{digest}", sort_key=item["sort_key"],
+            target_rows=target_rows, completed={},
+            input_info="compact:" + ",".join(member_ids), profile=profile)
 
-    rec_ds = ray.data.from_items(items, override_num_blocks=max(1, len(items))) \
-        .map_batches(merge_bin, batch_size=1, batch_format="pyarrow")
-    new_records = [json.loads(r) for r in
-                   rec_ds.to_pandas()["record"].tolist()]
+    new_records = _map_blocks(items, merge_bin, 1)
 
     merged = [b for bin_ in bins for b in bin_]
     merged_ids = {b["block_id"] for b in merged}
@@ -1950,10 +1927,8 @@ def recluster_store(store_dir: str, by: "str | list[str]", *,
             input_info=f"recluster:{','.join(cols)}", profile=profile)
         return _records_table(recs)
 
-    rec_ds = ds.map_batches(encode_sorted, batch_size=target_rows,
-                            batch_format="pyarrow")
-    new_records = [json.loads(r) for r in
-                   rec_ds.to_pandas()["record"].tolist()]
+    new_records = _collect_records(ds.map_batches(
+        encode_sorted, batch_size=target_rows, batch_format="pyarrow"))
 
     # derived sidecars and renames are now materialized base columns; the
     # evolution metadata must not survive into the reclustered footer
@@ -2065,10 +2040,8 @@ def recluster_incremental(store_dir: str, by: str, *,
                 profile=profile)
         return _records_table(recs)
 
-    rec_ds = ds.map_batches(encode_sorted, batch_size=target_rows,
-                            batch_format="pyarrow")
-    new_records = [json.loads(r) for r in
-                   rec_ds.to_pandas()["record"].tolist()]
+    new_records = _collect_records(ds.map_batches(
+        encode_sorted, batch_size=target_rows, batch_format="pyarrow"))
 
     new_footer = _swap_footer(
         store_dir, footer, kept + new_records,
@@ -2120,43 +2093,34 @@ def export_sorted(store_dir: str, by: str, out_dir: str, *,
     cols = list(columns) if columns is not None else None
     read_cols = cols if cols is None or by in cols else cols + [by]
     items = [{"rank": r, "block_id": blocks[i]["block_id"],
-              "rmap": json.dumps(_block_rmap(blocks[i])),
+              "rmap": _block_rmap(blocks[i]),
               "tomb": blocks[i]["block_id"] in tombs}
              for r, i in enumerate(order)]
 
-    def export_one(batch: pa.Table) -> pa.Table:
+    def export_one(item: dict) -> list[dict]:
         import pyarrow.parquet as pq_mod
-        out_rows = []
-        for rank_a, bid_a, rmap_a, tomb_a in zip(
-                batch["rank"], batch["block_id"], batch["rmap"],
-                batch["tomb"]):
-            t = _read_logical_block(store_dir, bid_a.as_py(),
-                                    json.loads(rmap_a.as_py()), read_cols)
-            if tomb_a.as_py():
-                t = _live_rows(store_dir, bid_a.as_py(), t)
-            t = t.sort_by(by)
-            if read_cols is not cols:
-                t = t.select(cols)
-            path = os.path.join(out_dir,
-                                f"part-{rank_a.as_py():05d}.parquet")
-            lp = sio.local_path(path)
-            if lp is not None:
-                pq_mod.write_table(t, lp + ".tmp", compression="zstd")
-            else:
-                import io as _io
-                buf = _io.BytesIO()
-                pq_mod.write_table(t, buf, compression="zstd")
-                with sio.sopen(path + ".tmp", "wb") as f:
-                    f.write(buf.getvalue())
-            sio.replace(path + ".tmp", path)
-            out_rows.append(t.num_rows)
-        return pa.table({"rows": pa.array(out_rows, type=pa.int64())})
+        bid = item["block_id"]
+        t = _read_logical_block(store_dir, bid, item["rmap"], read_cols)
+        if item["tomb"]:
+            t = _live_rows(store_dir, bid, t)
+        t = t.sort_by(by)
+        if read_cols is not cols:
+            t = t.select(cols)
+        path = os.path.join(out_dir, f"part-{item['rank']:05d}.parquet")
+        lp = sio.local_path(path)
+        if lp is not None:
+            pq_mod.write_table(t, lp + ".tmp", compression="zstd")
+        else:
+            import io as _io
+            buf = _io.BytesIO()
+            pq_mod.write_table(t, buf, compression="zstd")
+            with sio.sopen(path + ".tmp", "wb") as f:
+                f.write(buf.getvalue())
+        sio.replace(path + ".tmp", path)
+        return [{"rows": t.num_rows}]
 
-    res = ray.data.from_items(items, override_num_blocks=len(items)) \
-        .map_batches(export_one, batch_size=1, batch_format="pyarrow") \
-        .to_pandas()
-    return {"files": len(items), "rows": int(res["rows"].sum()),
-            "by": by, "out_dir": out_dir}
+    rows = sum(r["rows"] for r in _map_blocks(items, export_one, 1))
+    return {"files": len(items), "rows": rows, "by": by, "out_dir": out_dir}
 
 
 def delete_where(store_dir: str, predicate: tuple) -> dict:
@@ -2164,54 +2128,43 @@ def delete_where(store_dir: str, predicate: tuple) -> dict:
     (``(col, op, value)``, same ops as :func:`decode_store`) as deleted via
     per-block tombstones. Blocks stay immutable — the delete writes
     O(matched rows) bytes into ``tombstones/`` and every subsequent decode,
-    compaction and purge honors them. Zone maps prune the scan: only blocks
-    whose footer range admits the predicate decode even one column.
+    compaction and purge honors them. The scan is planned like a read
+    (:func:`_plan_read`): zone maps, and for ``==``/``in``/``contains`` the
+    Bloom sidecars, prune the blocks that cannot match, so only the rest
+    decode even one column.
 
     Idempotent (re-running unions into the same index sets) and atomic per
     block (tmp+rename); a killed delete leaves some blocks deleted and
     others not — rerun to converge. Physical reclamation is
     :func:`purge_deletes`."""
-    import pyarrow.compute as pc
-
     col, op, val = predicate
-    if op not in _PRED_OPS:
-        raise ValueError(f"unsupported predicate op {op!r}")
-    blocks = load_blocks(store_dir, _predicate_zone(predicate))
-    if not blocks:
+    items = _plan_read(store_dir, [col], None, [predicate], None, None)[0]
+    if not items:
+        blocks = load_blocks(store_dir)
+        if blocks and not any(col in (b.get("columns") or {})
+                              for b in blocks):
+            raise ValueError(f"delete: column {col!r} does not exist")
         return {"n_blocks_scanned": 0, "n_deleted_new": 0}
-    items = [{"block_id": b["block_id"],
-              "rmap": json.dumps(_block_rmap(b))} for b in blocks]
 
-    def scan(batch: pa.Table) -> pa.Table:
-        out_id, out_new = [], []
-        for bid_a, rmap_j in zip(batch["block_id"], batch["rmap"]):
-            bid = bid_a.as_py()
-            filt_col = _read_logical_block(
-                store_dir, bid, json.loads(rmap_j.as_py()), [col])[col]
-            mask = _pred_mask(filt_col, op, val)
-            idx = np.flatnonzero(
-                mask.to_numpy(zero_copy_only=False).astype(bool))
-            prior = load_tombstone(store_dir, bid)
-            n_prior = 0 if prior is None else len(prior)
-            if len(idx):
-                merged = idx if prior is None else \
-                    np.union1d(prior, idx.astype(np.uint32))
-                if len(merged) != n_prior:
-                    write_tombstone(store_dir, bid, merged)
-                    out_id.append(bid)
-                    out_new.append(len(merged) - n_prior)
-                    continue
-            out_id.append(bid)
-            out_new.append(0)
-        return pa.table({"block_id": pa.array(out_id, type=pa.string()),
-                         "n_new": pa.array(out_new, type=pa.int64())})
+    def scan(item: dict) -> list[dict]:
+        bid = item["block_id"]
+        filt_col = _read_logical_block(store_dir, bid, item["rmap"],
+                                       [col])[col]
+        idx = np.flatnonzero(_pred_mask(filt_col, op, val)
+                             .to_numpy(zero_copy_only=False).astype(bool))
+        prior = load_tombstone(store_dir, bid)
+        n_prior = 0 if prior is None else len(prior)
+        if len(idx):
+            merged = idx if prior is None else \
+                np.union1d(prior, idx.astype(np.uint32))
+            if len(merged) != n_prior:
+                write_tombstone(store_dir, bid, merged)
+                return [{"n_new": len(merged) - n_prior}]
+        return [{"n_new": 0}]
 
-    res = (ray.data.from_items(items,
-                               override_num_blocks=max(1, len(items)))
-           .map_batches(scan, batch_size=8, batch_format="pyarrow")
-           .to_pandas())
-    return {"n_blocks_scanned": int(len(res)),
-            "n_deleted_new": int(res["n_new"].sum())}
+    res = _map_blocks(items, scan, 8)
+    return {"n_blocks_scanned": len(res),
+            "n_deleted_new": sum(r["n_new"] for r in res)}
 
 
 def purge_deletes(store_dir: str, profile: str = "standard") -> dict:
@@ -2229,35 +2182,24 @@ def purge_deletes(store_dir: str, profile: str = "standard") -> dict:
     doomed = [b for b in blocks if b["block_id"] in tombs]
     if not doomed:
         return {"n_blocks_rewritten": 0, "n_rows_purged": 0}
-    items = [{"block_id": b["block_id"],
-              "sort_key": b.get("sort_key", ""),
-              "rmap": json.dumps(_block_rmap(b)),
-              "n_rows": b["n_rows"]} for b in doomed]
+    items = [{"block_id": b["block_id"], "sort_key": b.get("sort_key", ""),
+              "rmap": _block_rmap(b)} for b in doomed]
 
-    def rewrite(batch: pa.Table) -> pa.Table:
+    def rewrite(item: dict) -> list[dict]:
+        bid = item["block_id"]
+        # derived sidecars / renames / drops fold into the rewrite
+        t = _read_logical_block(store_dir, bid, item["rmap"])
+        live = _live_rows(store_dir, bid, t)
         recs = []
-        for bid_a, sk_a, rmap_j in zip(batch["block_id"], batch["sort_key"],
-                                       batch["rmap"]):
-            bid, sort_key = bid_a.as_py(), sk_a.as_py()
-            # derived sidecars / renames / drops fold into the rewrite
-            t = _read_logical_block(store_dir, bid,
-                                    json.loads(rmap_j.as_py()))
-            live = _live_rows(store_dir, bid, t)
-            purged = t.num_rows - live.num_rows
-            if live.num_rows:
-                digest = hashlib.blake2b(bid.encode(),
-                                         digest_size=16).hexdigest()
-                recs.extend(_encode_tables_to_blocks(
-                    [live], store_dir, f"prg-{digest}", sort_key=sort_key,
-                    target_rows=max(live.num_rows, 1), completed={},
-                    input_info=f"purge:{bid}", profile=profile))
-            recs.append({"__purged__": bid, "n": purged})
-        return _records_table(recs)
+        if live.num_rows:
+            digest = hashlib.blake2b(bid.encode(), digest_size=16).hexdigest()
+            recs = _encode_tables_to_blocks(
+                [live], store_dir, f"prg-{digest}", sort_key=item["sort_key"],
+                target_rows=max(live.num_rows, 1), completed={},
+                input_info=f"purge:{bid}", profile=profile)
+        return recs + [{"__purged__": bid, "n": t.num_rows - live.num_rows}]
 
-    rec_ds = ray.data.from_items(items,
-                                 override_num_blocks=max(1, len(items))) \
-        .map_batches(rewrite, batch_size=1, batch_format="pyarrow")
-    raw = [json.loads(r) for r in rec_ds.to_pandas()["record"].tolist()]
+    raw = _map_blocks(items, rewrite, 1)
     new_records = [r for r in raw if "__purged__" not in r]
     purged_rows = sum(r["n"] for r in raw if "__purged__" in r)
 

@@ -29,15 +29,13 @@ plan; this module generalizes that to any clustered key.
 
 from __future__ import annotations
 
-import json
-import os
-
 import pyarrow as pa
 
 import ray
 
-from .manifest import list_tombstones, load_footer, load_tombstone
-from .pipeline import _block_rmap, _read_logical_block
+from .manifest import list_tombstones, load_footer
+from .pipeline import (_block_rmap, _block_tasks, _live_rows,
+                       _read_logical_block)
 
 
 def _key_stats(blocks: list[dict], key: str, side: str) -> list[tuple]:
@@ -116,16 +114,14 @@ def join_clustered(store_a: str, store_b: str, key_a: str,
                 break
             if rhi < lo:
                 continue
-            matches.append((rb["block_id"],
-                            json.dumps(_block_rmap(rb)),
+            matches.append((rb["block_id"], _block_rmap(rb),
                             rb["block_id"] in tombs_b))
         if not matches:
             continue  # inner join: no intersecting range, no rows
         n_pairs += len(matches)
-        items.append({"a_bid": b["block_id"],
-                      "a_rmap": json.dumps(_block_rmap(b)),
-                      "a_tomb": b["block_id"] in tombs_a,
-                      "b": json.dumps(matches)})
+        items.append({"a": (b["block_id"], _block_rmap(b),
+                            b["block_id"] in tombs_a),
+                      "b": matches})
     LAST_SPJ_INFO.clear()
     LAST_SPJ_INFO.update({
         "a_blocks": len(ba), "b_blocks": len(bb),
@@ -133,46 +129,29 @@ def join_clustered(store_a: str, store_b: str, key_a: str,
         "a_blocks_pruned": len(ba) - len(items),
         "block_pairs": n_pairs})
 
-    def _table(store: str, bid: str, rmap_j: str, tomb: bool,
+    def _table(store: str, bid: str, rmap: dict, tomb: bool,
                cols: list[str] | None) -> pa.Table:
-        t = _read_logical_block(store, bid, json.loads(rmap_j), cols)
-        if tomb:
-            idx = load_tombstone(store, bid)
-            if idx is not None and len(idx):
-                import numpy as np
-                keep = np.ones(t.num_rows, dtype=bool)
-                keep[idx] = False
-                t = t.filter(pa.array(keep))
-        return t
+        t = _read_logical_block(store, bid, rmap, cols)
+        return _live_rows(store, bid, t) if tomb else t
 
     ca = (sorted(set(columns_a) | {key_a}) if columns_a is not None
           else None)
     cb = (sorted(set(columns_b) | {key_b}) if columns_b is not None
           else None)
 
-    def join_one(batch: pa.Table) -> pa.Table:
+    def join_one(items: list[dict]) -> pa.Table:
         out = []
-        for a_bid, a_rmap, a_tomb, b_j in zip(
-                batch["a_bid"], batch["a_rmap"], batch["a_tomb"],
-                batch["b"]):
-            left = _table(store_a, a_bid.as_py(), a_rmap.as_py(),
-                          a_tomb.as_py(), ca)
-            rights = [_table(store_b, bid, rmap_j, tomb, cb)
-                      for bid, rmap_j, tomb in json.loads(b_j.as_py())]
-            right = pa.concat_tables(rights)
+        for it in items:
+            left = _table(store_a, *it["a"], ca)
+            right = pa.concat_tables([_table(store_b, *m, cb)
+                                      for m in it["b"]])
             j = left.join(right, keys=key_a, right_keys=key_b,
                           join_type="inner", right_suffix=right_suffix)
             if j.num_rows:
                 out.append(j)
-        if not out:
-            return pa.table({})
-        return pa.concat_tables(out)
+        return pa.concat_tables(out) if out else pa.table({})
 
-    if not items:
-        return ray.data.from_items([]).map_batches(lambda b: b)
-    return ray.data.from_items(items,
-                               override_num_blocks=len(items)) \
-        .map_batches(join_one, batch_size=1, batch_format="pyarrow")
+    return _block_tasks(items, join_one, 1)
 
 
 # observability for tests / EXPLAIN-style introspection

@@ -237,7 +237,8 @@ def _both_dispatches(monkeypatch, st, **kw):
     with monkeypatch.context() as m:
         m.setattr(hp, "_decode_in_driver", spy)
         local = _result(decode_store(st, **kw))
-        m.setattr(hp, "_decode_in_driver", hp._decode_with_ray)
+        m.setattr(hp, "_decode_in_driver",
+                  lambda items, decode: hp._block_tasks(items, decode, 1))
         remote = _result(decode_store(st, **kw))
     assert sizes == [1]
     return local, remote
@@ -394,6 +395,40 @@ def test_block_decode_opens_no_bloom_file(store, monkeypatch):
     monkeypatch.setattr(sio, "sopen", spy_open)
     monkeypatch.setattr(hbloom, "probe_file", no_probe)
     monkeypatch.setattr(hbloom, "maybe_contains", no_probe)
-    out = hp._decode_items(st, cols, fills, preds, pa.Table.from_pylist(items))
+    out = hp._decode_items(st, cols, fills, preds, items)
     assert opened and not any("blooms" in p for p in opened)
     assert sorted(out["doc_id"].to_pylist()) == sorted(keys)
+
+
+def test_bloom_planned_delete_opens_one_block(store, monkeypatch, tmp_path):
+    """``delete_where`` plans its scan like a read: an ``in`` delete of a
+    block's smallest and largest ids, a range other blocks' zone maps also
+    admit, asks for no other block's column once Bloom-indexed."""
+    import howard_ray.pipeline as hp
+    from howard_ray.pipeline import delete_where
+    src, st = store
+    build_bloom_index(st, "doc_id")
+    zones = {b["block_id"]: (b["columns"]["doc_id"]["stats"]["min"],
+                             b["columns"]["doc_id"]["stats"]["max"])
+             for b in load_footer(st)["blocks"]}
+    bid, keys = next(
+        (bid, [lo, hi]) for bid, (lo, hi) in zones.items()
+        if sum(l2 <= hi and lo <= h2 for l2, h2 in zones.values()) > 1
+        and _plan_size(st, ("doc_id", "in", [lo, hi])) == 1)
+
+    log = str(tmp_path / "asked.txt")
+    real_read = hp._read_logical_block
+
+    def spy(store_dir, block_id, *a, **k):
+        with open(log, "a") as f:
+            f.write(block_id + "\n")
+        return real_read(store_dir, block_id, *a, **k)
+
+    monkeypatch.setattr(hp, "_read_logical_block", spy)
+    res = delete_where(st, ("doc_id", "in", keys))
+    with open(log) as f:
+        asked = set(f.read().split())
+    assert asked == {bid}
+    ids = pq.read_table(src)["doc_id"].to_pylist()
+    assert res == {"n_blocks_scanned": 1,
+                   "n_deleted_new": sum(i in keys for i in ids)}

@@ -147,3 +147,22 @@ def test_zero_column_count_after_delete(ray_session, tmp_path):
     web = live.filter(pc.equal(live["source"], "web")).num_rows
     assert decode_store(st, columns=[],
                         predicate=("source", "==", "web")).count() == web
+
+
+def test_delete_on_unknown_column_is_rejected(store):
+    """A delete naming a column no block has is an error, not a silent
+    no-op, and writes no tombstone; on a store with no block left it
+    deletes nothing."""
+    src, st = store
+    with pytest.raises(ValueError, match="'nope' does not exist"):
+        delete_where(st, ("nope", "==", 1))
+    with pytest.raises(ValueError, match="unsupported predicate op"):
+        delete_where(st, ("n_tok", "~", 1))
+    assert not list_tombstones(st)
+    full = pq.read_table(src)
+    assert delete_where(st, ("doc_id", "in", full["doc_id"].to_pylist())
+                        )["n_deleted_new"] == full.num_rows
+    purge_deletes(st)
+    assert load_footer(st)["n_blocks"] == 0
+    assert delete_where(st, ("nope", "==", 1)) == {"n_blocks_scanned": 0,
+                                                   "n_deleted_new": 0}

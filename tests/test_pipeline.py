@@ -214,6 +214,28 @@ def test_pipeline_reads_no_environment():
     assert "os.environ" not in src and "getenv" not in src
 
 
+def test_per_block_dispatch_is_one_helper():
+    """Per-block work has one Ray dispatch: ``ray.data.from_items(`` appears
+    in the pipeline only inside the per-block runner and the typed empty
+    result, and nowhere in the storage-partitioned join."""
+    import ast
+
+    import howard_ray.pipeline as hp
+    import howard_ray.spj as spj
+
+    def users(mod) -> tuple[int, set]:
+        with open(mod.__file__) as f:
+            src = f.read()
+        funcs = [n for n in ast.parse(src).body
+                 if isinstance(n, ast.FunctionDef)]
+        return (src.count("ray.data.from_items("),
+                {n.name for n in funcs if "ray.data.from_items("
+                 in ast.get_source_segment(src, n)})
+
+    assert users(hp) == (2, {"_block_tasks", "_typed_empty"})
+    assert users(spj) == (0, set())
+
+
 def test_resume_reencodes_on_profile_change(ray_session, corpus_file, tmp_path):
     """resume=True must NOT skip blocks when the encode profile differs —
     a zstd-19 re-encode of a zstd-1 store has to produce new bytes."""

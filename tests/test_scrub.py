@@ -79,3 +79,22 @@ def test_shallow_catches_missing_and_size(store):
     errs = {d["block_id"]: d["errors"][0] for d in res["damaged"]}
     assert errs[f["blocks"][0]["block_id"]] == "block file missing"
     assert errs[f["blocks"][1]["block_id"]] == "size mismatch vs footer"
+
+
+def test_meta_damage_is_caught(store):
+    """A same-length edit of a codec parameter in a block's meta JSON (the
+    tokens values' FOR reference) decodes without error to wrong tokens;
+    the deep scrub's whole-file crc32 against the footer names it."""
+    victim = load_footer(store)["blocks"][0]["block_id"]
+    path = block_path(store, victim)
+    with open(path, "rb") as f:
+        data = bytearray(f.read())
+    meta_end = 8 + int.from_bytes(data[4:8], "little")
+    at = data.index(b'"ref":0', data.index(b'"tokens":')) + len(b'"ref":')
+    assert at < meta_end
+    data[at:at + 1] = b"1"
+    with open(path, "wb") as f:
+        f.write(data)
+    res = scrub_store(store)
+    assert [d["block_id"] for d in res["damaged"]] == [victim]
+    assert "crc32 mismatch vs footer" in res["damaged"][0]["errors"]
